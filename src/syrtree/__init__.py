@@ -17,16 +17,16 @@ from .arith import (
     unlift,
     v2,
 )
-from .matrices import Coord, child_column, entry, iter_connections, locate, residue6, syr_via_matrix
+from .matrices import Coord, child_column, entry, iter_connections, locate, residue6, row, syr_via_matrix
 from .sequences import (
-    ColSequence,
     SeqStats,
-    SyrSequence,
+    Sequence,
     col_seq,
     collatz_expand,
     stats,
     syr_seq_model,
     syr_seq_oracle,
+    walk,
 )
 from .tree import (
     ComponentId,
@@ -55,52 +55,3 @@ from .verify import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "DEFAULT_MAX_STEPS",
-    "NotReducible",
-    "v2",
-    "odd_part",
-    "syr",
-    "col_step",
-    "lift",
-    "unlift",
-    "index_lift",
-    "syr_class",
-    "Coord",
-    "entry",
-    "locate",
-    "syr_via_matrix",
-    "residue6",
-    "child_column",
-    "iter_connections",
-    "ComponentId",
-    "TreeEdge",
-    "Tree",
-    "RootPath",
-    "children",
-    "connection_point",
-    "build_tree",
-    "path_to_root",
-    "export",
-    "SyrSequence",
-    "ColSequence",
-    "SeqStats",
-    "syr_seq_oracle",
-    "syr_seq_model",
-    "collatz_expand",
-    "col_seq",
-    "stats",
-    "PropertyCheck",
-    "SweepReport",
-    "check_partition",
-    "check_coverage",
-    "check_closed_forms",
-    "check_connection_coverage",
-    "check_cycle_freedom",
-    "check_even_identity",
-    "sweep_convergence",
-    "run_check",
-    "table_a_rows",
-    "table_b_cells",
-]

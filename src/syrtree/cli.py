@@ -30,22 +30,30 @@ def _seed(text: str) -> int:
     return n
 
 
-def _positive(text: str) -> int:
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
+def _at_least(text: str, low: int) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if n < low:
+        raise argparse.ArgumentTypeError(f"must be >= {low}, got {n}")
     return n
+
+
+def _positive(text: str) -> int:
+    return _at_least(text, 1)
 
 
 def _nonneg(text: str) -> int:
-    n = int(text)
-    if n < 0:
-        raise argparse.ArgumentTypeError("must be >= 0")
-    return n
+    return _at_least(text, 0)
+
+
+CONFIG_KEYS = ("bound", "budget", "workers")
 
 
 def _read_config(path: str) -> dict:
-    """key=value lines; blank lines and # comments ignored."""
+    """key=value lines of CONFIG_KEYS with positive integer values; blank
+    lines and # comments ignored."""
     out = {}
     with open(path, "r", encoding="utf-8") as fh:
         for raw in fh:
@@ -55,18 +63,13 @@ def _read_config(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"bad config line: {raw.rstrip()}")
             key, value = (part.strip() for part in line.split("=", 1))
-            out[key] = value
+            if key not in CONFIG_KEYS:
+                raise ValueError(f"unknown config key {key!r}")
+            try:
+                out[key] = _positive(value)
+            except argparse.ArgumentTypeError as exc:
+                raise ValueError(f"{key}: {exc}") from None
     return out
-
-
-def _default_workers() -> int:
-    env = os.environ.get(ENV_WORKERS)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -193,19 +196,20 @@ def _sweep_text(r: verify.SweepReport) -> str:
 
 
 def _cmd_verify(args) -> int:
-    config = {}
-    if args.config:
-        try:
-            config = _read_config(args.config)
-        except (OSError, ValueError) as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 2
-    bound = args.bound if args.bound is not None else (
-        int(config["bound"]) if "bound" in config else None)
-    budget = args.budget if args.budget is not None else (
-        int(config["budget"]) if "budget" in config else 10**5)
-    workers = args.workers if args.workers is not None else (
-        int(config["workers"]) if "workers" in config else _default_workers())
+    # flags take precedence over the config file, the file over the environment
+    env = os.environ.get(ENV_WORKERS)
+    try:
+        opts = {"bound": None, "budget": 10**5, "workers": _positive(env) if env else 1}
+        if args.config:
+            opts.update(_read_config(args.config))
+    except argparse.ArgumentTypeError as exc:  # only the environment's value raises this
+        print(f"{ENV_WORKERS}: {exc}", file=sys.stderr)
+        return 2
+    except (OSError, ValueError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    opts.update((k, getattr(args, k)) for k in CONFIG_KEYS if getattr(args, k) is not None)
+    bound, budget, workers = opts["bound"], opts["budget"], opts["workers"]
 
     suites = list(verify.SUITE_IDS) if args.suite == "all" else [args.suite]
     checks: List[verify.PropertyCheck] = []
@@ -258,7 +262,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         "verify": _cmd_verify,
         "table": _cmd_table,
     }[args.command]
-    return handler(args)
+    # outputs are exact integers of any size; decimal input was parsed
+    # above, under the interpreter's int/str digit limit
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return handler(args)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

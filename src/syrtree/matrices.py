@@ -16,7 +16,7 @@ which is O(log n) and allocation-free.
 
 from typing import Iterator, NamedTuple, Optional
 
-from .arith import _require_odd
+from .arith import _require_odd, lift
 
 
 class Coord(NamedTuple):
@@ -28,18 +28,21 @@ class Coord(NamedTuple):
 
 
 def entry(a: int, p: int, q: int) -> int:
-    """Value of the matrix cell (a, p, q)."""
+    """Value of the matrix cell (a, p, q): the row-0 value lifted p times."""
     if a not in (1, 5):
         raise ValueError(f"branch must be 1 or 5, got {a}")
     if p < 0 or q < 0:
         raise ValueError("p and q must be >= 0")
-    if a == 1:
-        num = (6 * q + 1) * (1 << (2 * p + 2)) - 1
-        assert num % 3 == 0
-        return num // 3
-    num = (6 * q + 5) * (1 << (2 * p + 2)) - 2
-    assert num % 6 == 0
-    return num // 6
+    return lift(8 * q + 1 if a == 1 else 4 * q + 3, p)
+
+
+def row(a: int, p: int) -> Iterator[int]:
+    """Entries of row p, q = 0, 1, 2, ..., by running addition (endless)."""
+    e = entry(a, p, 0)
+    step = (1 << (2 * p + 2)) * (2 if a == 1 else 1)  # entry delta per column
+    while True:
+        yield e
+        e += step
 
 
 def locate(n: int) -> Coord:
@@ -141,16 +144,11 @@ def iter_connections(
         raise ValueError("need q_max or max_child to bound the enumeration")
     entry_cap = None if max_child is None else 6 * max_child + 5
     for x in range(x_max + 1):
-        e = entry(parent_a, x, 0)
-        if entry_cap is not None and e > entry_cap:
-            break
-        step = (1 << (2 * x + 2)) * (2 if parent_a == 1 else 1)  # entry delta per column
-        q = 0
-        while (q_max is None or q <= q_max) and (entry_cap is None or e <= entry_cap):
+        for q, e in enumerate(row(parent_a, x)):
+            if (q_max is not None and q > q_max) or (entry_cap is not None and e > entry_cap):
+                break
             r = e % 6
-            if r != 3:
-                m = (e - r) // 6
-                if max_child is None or m <= max_child:
-                    yield ConnectionCell(r, parent_a, x, q, m)
-            q += 1
-            e += step
+            if r != 3:  # e <= entry_cap keeps the child column m within max_child
+                yield ConnectionCell(r, parent_a, x, q, (e - r) // 6)
+        if q == 0:  # row x starts past the cap, and later rows start higher
+            return

@@ -4,7 +4,9 @@ Two independent generators produce the accelerated (odd-only) sequence:
 ``syr_seq_oracle`` iterates the step function directly, and
 ``syr_seq_model`` walks the incoming-term matrices instead (locate the
 current term's column, emit its connection point 6q+a). They must agree
-term for term; the test suite holds them to that.
+term for term; the test suite holds them to that. That column walk,
+``walk``, is written once here; ``tree.path_to_root`` and check T2.15
+read the same steps.
 
 ``collatz_expand`` rebuilds the plain 3n+1 sequence from an odd-only one
 by inserting the even intermediates, and ``col_seq`` handles arbitrary
@@ -16,60 +18,68 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional
+from typing import Iterator, List, NamedTuple, Optional, Tuple
 
 from .arith import DEFAULT_MAX_STEPS, _require_odd, _require_positive
 from .arith import syr as _syr
-from .matrices import locate
+from .matrices import Coord, locate
 
 
 @dataclass
-class SyrSequence:
-    """Odd-only sequence from seed to the first 1 (or a truncated prefix)."""
+class Sequence:
+    """A sequence from seed to the first 1 (or a truncated prefix).
+
+    kind is "syr" for the odd-only (accelerated) sequence and "col" for
+    the plain 3n+1 sequence.
+    """
 
     seed: int
     terms: List[int]
     truncated: bool
+    kind: str
 
     @property
     def steps(self) -> int:
         return len(self.terms) - 1
 
 
-@dataclass
-class ColSequence:
-    """Plain 3n+1 sequence from seed to the first 1 (or a truncated prefix)."""
+def walk(n: int, max_steps: int = DEFAULT_MAX_STEPS) -> Iterator[Tuple[Coord, int]]:
+    """The column walk: locate the current term's cell, emit its connection
+    point 6q+a as the next term.
 
-    seed: int
-    terms: List[int]
-    truncated: bool
+    Yields (cell of the current term, next term) once per step and never
+    divides. Stops after yielding 1 (so walk(1) yields the one step 1 -> 1)
+    or after max_steps steps.
+    """
+    _require_odd(n)
+    for _ in range(max_steps):
+        c = locate(n)
+        n = 6 * c.q + c.a
+        yield c, n
+        if n == 1:
+            return
 
-    @property
-    def steps(self) -> int:
-        return len(self.terms) - 1
 
-
-def syr_seq_oracle(n: int, max_steps: int = DEFAULT_MAX_STEPS) -> SyrSequence:
+def syr_seq_oracle(n: int, max_steps: int = DEFAULT_MAX_STEPS) -> Sequence:
     """Reference generator: direct iteration of the accelerated step."""
     _require_odd(n)
     terms = [n]
     while terms[-1] != 1 and len(terms) - 1 < max_steps:
         terms.append(_syr(terms[-1]))
-    return SyrSequence(n, terms, terms[-1] != 1)
+    return Sequence(n, terms, terms[-1] != 1, "syr")
 
 
-def syr_seq_model(n: int, max_steps: int = DEFAULT_MAX_STEPS) -> SyrSequence:
+def syr_seq_model(n: int, max_steps: int = DEFAULT_MAX_STEPS) -> Sequence:
     """Model-driven generator: next term is the column connection point.
 
-    Never divides: each step locates the current term in the matrices and
-    reads off 6q+a. Output equals syr_seq_oracle term for term.
+    Never divides: each step of the column walk locates the current term
+    in the matrices and reads off 6q+a. Output equals syr_seq_oracle term
+    for term.
     """
-    _require_odd(n)
     terms = [n]
-    while terms[-1] != 1 and len(terms) - 1 < max_steps:
-        a, _p, q = locate(terms[-1])
-        terms.append(6 * q + a)
-    return SyrSequence(n, terms, terms[-1] != 1)
+    if n != 1:
+        terms.extend(t for _c, t in walk(n, max_steps))
+    return Sequence(n, terms, terms[-1] != 1, "syr")
 
 
 def _expand_terms(odd_terms: List[int]) -> List[int]:
@@ -86,7 +96,7 @@ def _expand_terms(odd_terms: List[int]) -> List[int]:
     return out
 
 
-def collatz_expand(s: SyrSequence) -> ColSequence:
+def collatz_expand(s: Sequence) -> Sequence:
     """Expand an odd-only sequence into the full plain sequence.
 
     Between consecutive odd terms the even intermediates 3n+1, (3n+1)/2,
@@ -96,10 +106,10 @@ def collatz_expand(s: SyrSequence) -> ColSequence:
     """
     if s.truncated:
         raise ValueError("cannot expand a truncated sequence")
-    return ColSequence(s.seed, _expand_terms(s.terms), False)
+    return Sequence(s.seed, _expand_terms(s.terms), False, "col")
 
 
-def col_seq(n: int, max_steps: int = DEFAULT_MAX_STEPS) -> ColSequence:
+def col_seq(n: int, max_steps: int = DEFAULT_MAX_STEPS) -> Sequence:
     """Plain 3n+1 sequence for any positive seed, via the model generator.
 
     Even seeds are halved down to their odd part (the even-input path),
@@ -111,21 +121,21 @@ def col_seq(n: int, max_steps: int = DEFAULT_MAX_STEPS) -> ColSequence:
     m = n
     while m & 1 == 0:
         if len(prefix) - 1 >= max_steps:
-            return ColSequence(n, prefix, True)
+            return Sequence(n, prefix, True, "col")
         m >>= 1
         prefix.append(m)
     if m == 1:
-        return ColSequence(n, prefix, False)
+        return Sequence(n, prefix, False, "col")
     remaining = max_steps - (len(prefix) - 1)
     if remaining <= 0:
-        return ColSequence(n, prefix, True)
+        return Sequence(n, prefix, True, "col")
     s = syr_seq_model(m, remaining)
     terms = prefix[:-1] + _expand_terms(s.terms)
     truncated = s.truncated
     if len(terms) - 1 > max_steps:
         terms = terms[: max_steps + 1]
         truncated = True
-    return ColSequence(n, terms, truncated)
+    return Sequence(n, terms, truncated, "col")
 
 
 class SeqStats(NamedTuple):
@@ -149,7 +159,7 @@ def to_json(s, include_terms: bool = True) -> str:
     """One JSON line per sequence; key order is fixed for golden files."""
     st = stats(s)
     doc = {
-        "kind": "syr" if isinstance(s, SyrSequence) else "col",
+        "kind": s.kind,
         "seed": s.seed,
         "steps": s.steps,
         "truncated": s.truncated,

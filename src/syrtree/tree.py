@@ -17,8 +17,9 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .arith import DEFAULT_MAX_STEPS, _require_odd
-from .matrices import entry, locate
+from .arith import DEFAULT_MAX_STEPS
+from .matrices import entry, locate  # noqa: F401  (unused; perfbench/spans.py wraps tree.locate)
+from .sequences import walk
 
 
 class ComponentId(NamedTuple):
@@ -100,12 +101,6 @@ class Tree:
     max_value: Optional[int]
     blacks: Dict[ComponentId, List[Tuple[int, int]]] = field(default_factory=dict)
 
-    def node_level(self, c: ComponentId) -> Optional[int]:
-        for r, row in enumerate(self.nodes):
-            if c in row:
-                return r
-        return None
-
     def all_edges(self) -> List[TreeEdge]:
         return [e for row in self.edges for e in row]
 
@@ -164,17 +159,8 @@ def path_to_root(n: int, max_steps: int = DEFAULT_MAX_STEPS) -> RootPath:
     budget runs out (reported, never asserted: reaching 1 is the question
     under test, not an axiom).
     """
-    _require_odd(n)
-    cur = n
-    out: List[Tuple[ComponentId, int]] = []
-    for _ in range(max_steps):
-        a, _p, q = locate(cur)
-        t = 6 * q + a
-        out.append((ComponentId(a, q), t))
-        if t == 1:
-            return RootPath(out, False)
-        cur = t
-    return RootPath(out, True)
+    steps = [(ComponentId(c.a, c.q), t) for c, t in walk(n, max_steps)]
+    return RootPath(steps, not steps or steps[-1][1] != 1)
 
 
 def export(tree: Tree, fmt: str, include_black: bool = False) -> bytes:

@@ -20,15 +20,15 @@ Check IDs (stable, individually addressable from the CLI):
     sweep  convergence statistics over a seed range
 """
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .arith import syr, syr_class, v2
-from .matrices import child_column, entry, iter_connections, locate
-from .sequences import col_seq
-from .tree import ROOT
+from .matrices import child_column, entry, iter_connections, locate, row
+from .sequences import col_seq, walk
 
 MAX_COUNTEREXAMPLES = 10
 
@@ -83,6 +83,11 @@ class _Collector:
         if len(self.items) < MAX_COUNTEREXAMPLES:
             self.items.append(kw)
         return len(self.items) < MAX_COUNTEREXAMPLES
+
+    def result(self, check_id: str, bound: str, details: Dict[str, int], t0: float) -> PropertyCheck:
+        """The check's outcome: it passes exactly when nothing was recorded."""
+        return PropertyCheck(check_id, bound, not self.items, self.items, details,
+                             time.perf_counter() - t0)
 
 
 def table_a_rows(q_max: int = 15) -> List[tuple]:
@@ -154,15 +159,8 @@ def check_partition(bound: int = 10_000) -> PropertyCheck:
         a_dup = (1, 3, 5, 7)[q % 4]
         if syr_class(5, q) != syr_class(a_dup, q // 4):
             ce.add(q=q, identity="S5 duplication", dup_class=a_dup)
-    elapsed = time.perf_counter() - t0
-    return PropertyCheck(
-        "L2.1",
-        f"t<={bound}",
-        not ce.items,
-        ce.items,
-        {"identities_checked": 4 * (bound + 1), "table_rows": 16},
-        elapsed,
-    )
+    return ce.result("L2.1", f"t<={bound}",
+                     {"identities_checked": 4 * (bound + 1), "table_rows": 16}, t0)
 
 
 def check_coverage(bound: int = 10**6) -> PropertyCheck:
@@ -179,10 +177,9 @@ def check_coverage(bound: int = 10**6) -> PropertyCheck:
     for a in (1, 5):
         p = 0
         while entry(a, p, 0) <= bound:
-            e = entry(a, p, 0)
-            step = (1 << (2 * p + 2)) * (2 if a == 1 else 1)
-            q = 0
-            while e <= bound:
+            for q, e in enumerate(row(a, p)):
+                if e > bound:
+                    break
                 cells += 1
                 idx = (e - 1) >> 1
                 if seen[idx]:
@@ -191,8 +188,6 @@ def check_coverage(bound: int = 10**6) -> PropertyCheck:
                 if locate(e) != (a, p, q):
                     ce.add(n=e, problem="locate disagrees", cell=(a, p, q),
                            located=tuple(locate(e)), repro=f"syrtree locate {e}")
-                q += 1
-                e += step
             p += 1
     odds = 0
     for n in range(1, bound + 1, 2):
@@ -207,15 +202,8 @@ def check_coverage(bound: int = 10**6) -> PropertyCheck:
         if (p >= 1) != (n % 8 == 5):
             if not ce.add(n=n, problem="row>=1 slice", p=p):
                 break
-    elapsed = time.perf_counter() - t0
-    return PropertyCheck(
-        "T2.9",
-        f"n<={bound}",
-        not ce.items,
-        ce.items,
-        {"cells_enumerated": cells, "odds_checked": odds},
-        elapsed,
-    )
+    return ce.result("T2.9", f"n<={bound}",
+                     {"cells_enumerated": cells, "odds_checked": odds}, t0)
 
 
 def check_closed_forms(p_max: int = 8, q_max: int = 64) -> PropertyCheck:
@@ -267,16 +255,9 @@ def check_closed_forms(p_max: int = 8, q_max: int = 64) -> PropertyCheck:
             anchors_ok += 1
         else:
             ce.add(anchor=cell, problem="missing from regenerated table")
-    elapsed = time.perf_counter() - t0
-    return PropertyCheck(
-        "T2.11",
-        f"p<={p_max},q<={q_max}",
-        not ce.items,
-        ce.items,
-        {"entries_checked": entries, "cells_checked": cells,
-         "table_anchors": anchors_ok},
-        elapsed,
-    )
+    return ce.result("T2.11", f"p<={p_max},q<={q_max}",
+                     {"entries_checked": entries, "cells_checked": cells,
+                      "table_anchors": anchors_ok}, t0)
 
 
 def check_connection_coverage(bound: int = 10_000) -> PropertyCheck:
@@ -314,15 +295,8 @@ def check_connection_coverage(bound: int = 10_000) -> PropertyCheck:
         else:
             continue
         break
-    elapsed = time.perf_counter() - t0
-    return PropertyCheck(
-        "T2.12",
-        f"m<={bound}",
-        not ce.items,
-        ce.items,
-        {"cells_enumerated": cells, "witnesses": witnesses},
-        elapsed,
-    )
+    return ce.result("T2.12", f"m<={bound}",
+                     {"cells_enumerated": cells, "witnesses": witnesses}, t0)
 
 
 def check_cycle_freedom(bound: int = 10**5, max_steps: int = 10**5) -> PropertyCheck:
@@ -336,47 +310,38 @@ def check_cycle_freedom(bound: int = 10**5, max_steps: int = 10**5) -> PropertyC
     t0 = time.perf_counter()
     ce = _Collector()
     seeds = 0
-    scanning = True
     for seed in range(1, bound + 1, 2):
-        if not scanning:
-            break
         seeds += 1
-        cols: Dict[Tuple[int, int], int] = {}
-        values = set()
-        cur = seed
-        i = 0
-        while True:
-            a, _p, q = locate(cur)
-            col = (a, q)
-            if col in cols and not (col == tuple(ROOT) and cur == 1 and cols[col] == i - 1):
-                scanning = ce.add(
-                    seed=seed, column=col, first_index=cols[col], index=i,
-                    repro=f"syrtree seq {seed} --kind syr",
-                )
-                break
-            cols[col] = i
-            if cur in values:
-                scanning = ce.add(seed=seed, value=cur, problem="value repeats",
-                                  repro=f"syrtree seq {seed} --kind syr")
-                break
-            values.add(cur)
-            if cur == 1:
-                break
-            if i >= max_steps:
-                scanning = ce.add(seed=seed, problem="budget exhausted, cannot certify",
-                                  repro=f"syrtree seq {seed} --kind syr")
-                break
-            cur = 6 * q + a
-            i += 1
-    elapsed = time.perf_counter() - t0
-    return PropertyCheck(
-        "T2.15",
-        f"odd seeds<={bound}",
-        not ce.items,
-        ce.items,
-        {"seeds_checked": seeds},
-        elapsed,
-    )
+        found = _first_revisit(seed, max_steps)
+        if found is not None and not ce.add(seed=seed, **found,
+                                            repro=f"syrtree seq {seed} --kind syr"):
+            break
+    return ce.result("T2.15", f"odd seeds<={bound}", {"seeds_checked": seeds}, t0)
+
+
+def _first_revisit(seed: int, max_steps: int) -> Optional[dict]:
+    """T2.15 for one seed: what its column walk repeats first, or None.
+
+    Checks terms 0..max_steps; a walk still short of 1 after term max_steps
+    cannot be certified. Columns are keyed by their connection point 6q+a,
+    which no two columns share.
+    """
+    cols: Dict[int, int] = {}  # connection point -> index of the term in that column
+    values = set()
+    cur = seed
+    for i, (c, nxt) in enumerate(walk(seed, max_steps + 1)):
+        if nxt in cols:
+            return {"column": (c.a, c.q), "first_index": cols[nxt], "index": i}
+        cols[nxt] = i
+        if cur in values:
+            return {"value": cur, "problem": "value repeats"}
+        values.add(cur)
+        if i >= max_steps:
+            break
+        cur = nxt
+    # the walk emits 1 only from the root column (1, 0), so a final 1 shares
+    # that column with its predecessor alone: the forced final pair
+    return None if cur == 1 else {"problem": "budget exhausted, cannot certify"}
 
 
 def check_even_identity(bound: int = 10**6) -> PropertyCheck:
@@ -409,15 +374,8 @@ def check_even_identity(bound: int = 10**6) -> PropertyCheck:
                 if not ce.add(m=m, r=r, problem="sequence prefix",
                               repro=f"syrtree seq {m} --kind col"):
                     break
-    elapsed = time.perf_counter() - t0
-    return PropertyCheck(
-        "L3.3",
-        f"even m<={bound}",
-        not ce.items,
-        ce.items,
-        {"evens_checked": evens, "sequence_prefixes_checked": prefix_checked},
-        elapsed,
-    )
+    return ce.result("L3.3", f"even m<={bound}",
+                     {"evens_checked": evens, "sequence_prefixes_checked": prefix_checked}, t0)
 
 
 @dataclass
@@ -466,53 +424,43 @@ class SweepReport:
 
 
 def _sweep_chunk(args) -> dict:
-    """Stats for seeds in [lo, hi]: per-seed plain-step walk, optionally
-    memoized over [1, hi]. The memo stores exact totals only, so outcomes
-    are identical with and without it."""
-    lo, hi, budget, memoize = args
-    if memoize:
-        steps_c = [-1] * (hi + 1)
-        max_c = [0] * (hi + 1)
-        steps_c[1] = 0
-        max_c[1] = 1
+    """Stats for seeds in [lo, hi]: per-seed plain-step walk, memoized over
+    [1, hi]. The memo stores exact totals only, so outcomes are identical
+    to walking every seed on its own."""
+    lo, hi, budget = args
+    steps_c = [-1] * (hi + 1)
+    max_c = [0] * (hi + 1)
+    steps_c[1] = 0
+    max_c[1] = 1
     decided = 0
     best_steps: Optional[Tuple[int, int]] = None
     best_exc: Optional[Tuple[int, int]] = None
     undecided: List[int] = []
     for seed in range(lo, hi + 1):
-        if memoize:
-            path = []
-            m = seed
-            resolved = True
-            while True:
-                if m == 1:
-                    s, mx = 0, 1
-                    break
-                if m <= hi and steps_c[m] >= 0:
-                    s, mx = steps_c[m], max_c[m]
-                    break
-                if len(path) >= budget:
-                    resolved = False
-                    break
-                path.append(m)
-                m = 3 * m + 1 if m & 1 else m >> 1
-            if resolved:
-                for v in reversed(path):
-                    s += 1
-                    if v > mx:
-                        mx = v
-                    if v <= hi:
-                        steps_c[v] = s
-                        max_c[v] = mx
-            ok = resolved and s <= budget
-        else:
-            m, s, mx = seed, 0, seed
-            while m != 1 and s < budget:
-                m = 3 * m + 1 if m & 1 else m >> 1
+        path = []
+        m = seed
+        resolved = True
+        while True:
+            if m == 1:
+                s, mx = 0, 1
+                break
+            if m <= hi and steps_c[m] >= 0:
+                s, mx = steps_c[m], max_c[m]
+                break
+            if len(path) >= budget:
+                resolved = False
+                break
+            path.append(m)
+            m = 3 * m + 1 if m & 1 else m >> 1
+        if resolved:
+            for v in reversed(path):
                 s += 1
-                if m > mx:
-                    mx = m
-            ok = m == 1
+                if v > mx:
+                    mx = v
+                if v <= hi:
+                    steps_c[v] = s
+                    max_c[v] = mx
+        ok = resolved and s <= budget
         if ok:
             decided += 1
             if best_steps is None or s > best_steps[0] or (s == best_steps[0] and seed < best_steps[1]):
@@ -545,33 +493,32 @@ def sweep_convergence(
     hi: int,
     budget: int = 10**5,
     workers: int = 1,
-    memoize: bool = True,
 ) -> SweepReport:
     """Run every seed in [lo, hi] to 1 (or to the budget) and aggregate.
 
     Sharding is by contiguous sub-ranges; per-seed results are intrinsic,
     and the merge is associative with explicit tie-breaks (larger stat
     wins, then smaller seed), so the report is identical for any worker
-    count or shard layout.
+    count or shard layout. At most min(workers, hi-lo+1, cpu count)
+    shards run, one process each.
     """
     if lo < 1 or hi < lo:
         raise ValueError("need 1 <= lo <= hi")
     if budget < 0 or workers < 0:
         raise ValueError("budget and workers must be >= 0")
     t0 = time.perf_counter()
-    workers = max(workers, 1)
-    n_chunks = min(workers, hi - lo + 1)
+    n_chunks = min(max(workers, 1), hi - lo + 1, os.cpu_count() or 1)
     size = (hi - lo + 1 + n_chunks - 1) // n_chunks
     chunks = []
     a = lo
     while a <= hi:
         b = min(a + size - 1, hi)
-        chunks.append((a, b, budget, memoize))
+        chunks.append((a, b, budget))
         a = b + 1
-    if workers == 1:
+    if n_chunks == 1:
         results = [_sweep_chunk(c) for c in chunks]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=n_chunks) as pool:
             results = list(pool.map(_sweep_chunk, chunks))
     decided = sum(r["decided"] for r in results)
     undecided = sum(r["undecided"] for r in results)
@@ -595,17 +542,22 @@ def sweep_convergence(
     )
 
 
-SUITE_DEFAULT_BOUNDS = {
-    "L2.1": 10_000,
-    "T2.9": 10**6,
-    "T2.11": 64,
-    "T2.12": 10_000,
-    "T2.15": 10**5,
-    "L3.3": 10**6,
-    "sweep": 10**6,
+# check ID -> (check run at a bound, default bound), in report order. The
+# sweep has no such function: it also takes a budget and a worker count,
+# so the CLI calls sweep_convergence itself.
+CHECKS = {
+    "L2.1": (check_partition, 10_000),
+    "T2.9": (check_coverage, 10**6),
+    "T2.11": (lambda q_max: check_closed_forms(8, q_max), 64),
+    "T2.12": (check_connection_coverage, 10_000),
+    "T2.15": (check_cycle_freedom, 10**5),
+    "L3.3": (check_even_identity, 10**6),
+    "sweep": (None, 10**6),
 }
 
-SUITE_IDS = tuple(SUITE_DEFAULT_BOUNDS)
+SUITE_DEFAULT_BOUNDS = {cid: bound for cid, (_run, bound) in CHECKS.items()}
+
+SUITE_IDS = tuple(CHECKS)
 
 
 def run_check(check_id: str, bound: Optional[int] = None) -> PropertyCheck:
@@ -613,19 +565,7 @@ def run_check(check_id: str, bound: Optional[int] = None) -> PropertyCheck:
 
     For T2.11 the bound sets the column range q_max (row range stays 8).
     """
-    if check_id not in SUITE_DEFAULT_BOUNDS or check_id == "sweep":
+    run, default = CHECKS.get(check_id, (None, None))
+    if run is None:
         raise ValueError(f"unknown check id {check_id!r}")
-    b = bound if bound is not None else SUITE_DEFAULT_BOUNDS[check_id]
-    if check_id == "L2.1":
-        return check_partition(b)
-    if check_id == "T2.9":
-        return check_coverage(b)
-    if check_id == "T2.11":
-        return check_closed_forms(8, b)
-    if check_id == "T2.12":
-        return check_connection_coverage(b)
-    if check_id == "T2.15":
-        return check_cycle_freedom(b)
-    if check_id == "L3.3":
-        return check_even_identity(b)
-    raise ValueError(f"unknown check id {check_id!r}")
+    return run(default if bound is None else bound)

@@ -1,8 +1,12 @@
+import decimal
 import json
+import random
+import sys
 
 import pytest
 
 from syrtree.cli import main
+from syrtree.sequences import stats, syr_seq_oracle
 
 
 def run(capsys, *argv):
@@ -45,6 +49,21 @@ def test_seq_csv(capsys):
     code, out, _ = run(capsys, "seq", "40", "--format", "csv", "--no-terms")
     assert code == 0
     assert out == "seed,stopping_time,max_term\n40,8,40\n"
+
+
+def test_seq_prints_integers_past_the_str_digit_limit(capsys):
+    n = random.Random(16000).getrandbits(16000) | (1 << 15999) | 1
+    limit = sys.get_int_max_str_digits()
+    code, out, _ = run(capsys, "seq", hex(n), "--kind", "syr", "--format", "json",
+                       "--no-terms")
+    assert code == 0
+    assert sys.get_int_max_str_digits() == limit
+    # Decimal parses decimal digits without the int/str limit
+    doc = json.loads(out, parse_int=lambda text: int(decimal.Decimal(text)))
+    want = stats(syr_seq_oracle(n))
+    assert doc["seed"] == n
+    assert doc["stats"] == {"stopping_time": want.stopping_time,
+                            "max_term": want.max_term, "odd_steps": want.odd_steps}
 
 
 def test_seq_strict_budget(capsys):
@@ -165,6 +184,28 @@ def test_verify_flag_overrides_config(capsys, tmp_path):
     _, out, _ = run(capsys, "verify", "--suite", "sweep", "--bound", "10",
                     "--config", str(cfg), "--format", "json")
     assert json.loads(out)["sweep"]["hi"] == 10
+
+
+@pytest.mark.parametrize("config, env", [
+    ("bound=abc\n", None),
+    ("bound=-5\n", None),
+    ("bonud=5\n", None),
+    ("workers=0\n", None),
+    (None, "abc"),
+    (None, "-3"),
+])
+def test_verify_rejects_bad_config_and_env(capsys, monkeypatch, tmp_path, config, env):
+    argv = ["verify", "--suite", "L2.1"]
+    if config is not None:
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(config)
+        argv += ["--config", str(cfg)]
+    if env is not None:
+        monkeypatch.setenv("SYRTREE_WORKERS", env)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
 
 
 def test_workers_env_default(capsys, monkeypatch):

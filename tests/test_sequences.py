@@ -3,9 +3,9 @@ import random
 import pytest
 
 from syrtree.arith import col_step, odd_part
+from syrtree.matrices import Coord, entry
 from syrtree.sequences import (
-    ColSequence,
-    SyrSequence,
+    Sequence,
     col_seq,
     collatz_expand,
     stats,
@@ -13,7 +13,9 @@ from syrtree.sequences import (
     syr_seq_oracle,
     to_csv,
     to_json,
+    walk,
 )
+from syrtree.tree import path_to_root
 
 # frozen output of the direct-iteration oracle for seed 27
 SYR_27 = [
@@ -58,6 +60,24 @@ def test_model_equals_oracle_large_random():
         assert syr_seq_model(n).terms == syr_seq_oracle(n).terms
 
 
+def test_walk_ends():
+    assert list(walk(1)) == [(Coord(1, 0, 0), 1)]
+    assert list(walk(27, max_steps=0)) == []
+    assert list(walk(1, max_steps=0)) == []
+    assert [t for _c, t in walk(35)] == [53, 5, 1]
+
+
+def test_walk_projections_equal_oracle_on_huge_inputs():
+    rnd = random.Random(4000)
+    seeds = [rnd.getrandbits(4000) | (1 << 3999) | 1, entry(5, 1000, 12345)]
+    for n in seeds:
+        terms = syr_seq_oracle(n).terms
+        assert syr_seq_model(n).terms == terms
+        path = path_to_root(n)
+        assert not path.exhausted
+        assert [t for _c, t in path.steps] == terms[1:]
+
+
 def test_truncation():
     s = syr_seq_model(27, max_steps=5)
     assert s.truncated
@@ -73,18 +93,18 @@ def test_terms_after_seed_avoid_multiples_of_3():
 
 
 def test_collatz_expand_examples():
-    assert collatz_expand(SyrSequence(35, [35, 53, 5, 1], False)).terms == [
+    assert collatz_expand(Sequence(35, [35, 53, 5, 1], False, "syr")).terms == [
         35, 106, 53, 160, 80, 40, 20, 10, 5, 16, 8, 4, 2, 1,
     ]
-    assert collatz_expand(SyrSequence(1, [1], False)).terms == [1]
-    assert collatz_expand(SyrSequence(13, [13, 5, 1], False)).terms == [
+    assert collatz_expand(Sequence(1, [1], False, "syr")).terms == [1]
+    assert collatz_expand(Sequence(13, [13, 5, 1], False, "syr")).terms == [
         13, 40, 20, 10, 5, 16, 8, 4, 2, 1,
     ]
 
 
 def test_collatz_expand_rejects_truncated():
     with pytest.raises(ValueError):
-        collatz_expand(SyrSequence(27, SYR_27[:3], True))
+        collatz_expand(Sequence(27, SYR_27[:3], True, "syr"))
 
 
 def test_expand_inserts_only_evens_between_odd_anchors():
@@ -132,7 +152,7 @@ def test_col_seq_truncation_matches_plain_prefix():
 
 def test_stats_examples():
     assert stats(col_seq(35)) == (13, 160, 3)
-    assert stats(ColSequence(1, [1], False)) == (0, 1, 0)
+    assert stats(Sequence(1, [1], False, "col")) == (0, 1, 0)
     assert stats(col_seq(27)) == (111, 9232, 41)
     assert stats(syr_seq_model(35)) == (3, 53, 3)
 

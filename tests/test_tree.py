@@ -48,6 +48,16 @@ def test_children_of_1_14():
     ]
 
 
+def test_children_of_1_142():
+    # row 0 holds 1137, a multiple of 3, so the first child hangs off row 1
+    assert black_entries(ComponentId(1, 142), 0) == [(0, 1137)]
+    got = edge_summary(children(ComponentId(1, 142), 2))
+    assert got == [
+        (ComponentId(1, 758), 1, 4549),
+        (ComponentId(5, 3032), 2, 18197),
+    ]
+
+
 def test_children_max_value_caps_the_via_entry():
     got = edge_summary(children(ComponentId(1, 0), 4, max_value=100))
     assert got == [(ComponentId(5, 0), 1, 5), (ComponentId(1, 14), 3, 85)]

@@ -1,6 +1,10 @@
+import itertools
+
 import pytest
 
-from syrtree.matrices import entry
+from syrtree import verify
+from syrtree.matrices import Coord, entry
+from syrtree.sequences import walk
 from syrtree.verify import (
     MAX_COUNTEREXAMPLES,
     _Collector,
@@ -48,6 +52,33 @@ def test_check_cycle_freedom_passes():
     c = check_cycle_freedom(10**4)
     assert c.passed
     assert c.details["seeds_checked"] == 5000
+
+
+def test_check_cycle_freedom_reports_exhausted_budget():
+    # seed 9 reaches 1 after 6 odd steps
+    c = check_cycle_freedom(99, max_steps=5)
+    assert not c.passed
+    assert c.counterexamples[0] == {
+        "seed": 9, "problem": "budget exhausted, cannot certify",
+        "repro": "syrtree seq 9 --kind syr",
+    }
+
+
+def test_check_cycle_freedom_reports_a_cycling_walk(monkeypatch):
+    # a walk that closes the cycle 35 -> 53 -> 35 (the real cells of both)
+    def cycling_walk(n, max_steps):
+        if n != 35:
+            return walk(n, max_steps)
+        steps = itertools.cycle([(Coord(5, 0, 8), 53), (Coord(5, 2, 0), 35)])
+        return itertools.islice(steps, max_steps)
+
+    monkeypatch.setattr(verify, "walk", cycling_walk)
+    c = check_cycle_freedom(35)
+    assert not c.passed
+    assert c.counterexamples == [{
+        "seed": 35, "column": (5, 8), "first_index": 0, "index": 2,
+        "repro": "syrtree seq 35 --kind syr",
+    }]
 
 
 def test_check_even_identity_passes():
@@ -108,17 +139,70 @@ def test_sweep_budget_boundary():
     assert r.max_excursion is None
 
 
+def plain_sweep(lo, hi, budget):
+    """Reference for the memoized sweep: every seed walked on its own.
+
+    Returns (decided, undecided, max_stopping_time, max_excursion,
+    undecided_seeds) as SweepReport holds them.
+    """
+    decided, best_steps, best_exc, undecided = 0, None, None, []
+    for seed in range(lo, hi + 1):
+        m, s, mx = seed, 0, seed
+        while m != 1 and s < budget:
+            m = 3 * m + 1 if m & 1 else m >> 1
+            s += 1
+            mx = max(mx, m)
+        if m != 1:
+            undecided.append(seed)
+            continue
+        decided += 1
+        # seeds ascend, so a strict comparison keeps the smaller seed on ties
+        if best_steps is None or s > best_steps[0]:
+            best_steps = (s, seed)
+        if best_exc is None or mx > best_exc[0]:
+            best_exc = (mx, seed)
+    return (decided, len(undecided), best_steps, best_exc,
+            undecided[:MAX_COUNTEREXAMPLES])
+
+
 def test_sweep_memoization_does_not_change_outcomes():
     for lo, hi, budget in ((1, 3000, 10**5), (27, 40, 111), (1, 200, 9)):
-        a = sweep_convergence(lo, hi, budget=budget, memoize=True)
-        b = sweep_convergence(lo, hi, budget=budget, memoize=False)
-        assert a.as_dict() == b.as_dict()
+        r = sweep_convergence(lo, hi, budget=budget)
+        got = (r.decided, r.undecided, r.max_stopping_time, r.max_excursion,
+               r.undecided_seeds)
+        assert got == plain_sweep(lo, hi, budget)
 
 
 def test_sweep_worker_count_does_not_change_results():
     base = sweep_convergence(1, 5000).as_dict()
     for workers in (2, 3):
         assert sweep_convergence(1, 5000, workers=workers).as_dict() == base
+
+
+def test_sweep_process_count_is_bounded(monkeypatch):
+    # a stand-in pool: records its size and maps inline, so no process starts
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 4)
+    base = sweep_convergence(1, 100).as_dict()
+    assert sweep_convergence(1, 3, workers=500).as_dict() == sweep_convergence(1, 3).as_dict()
+    assert sweep_convergence(1, 100, workers=500).as_dict() == base
+    assert sweep_convergence(1, 100, workers=3).as_dict() == base
+    assert sizes == [3, 4, 3]
 
 
 def test_sweep_rejects_bad_range():
