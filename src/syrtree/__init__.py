@@ -7,17 +7,14 @@ verification harness with brute-force oracles.
 
 from .arith import (
     DEFAULT_MAX_STEPS,
-    NotReducible,
     col_step,
-    index_lift,
     lift,
     odd_part,
     syr,
     syr_class,
-    unlift,
     v2,
 )
-from .matrices import Coord, child_column, entry, iter_connections, locate, residue6, row, syr_via_matrix
+from .matrices import Coord, child_column, entry, iter_connections, locate, residue6, row
 from .sequences import (
     SeqStats,
     Sequence,

@@ -1,16 +1,11 @@
 """Exact arithmetic kernel for 3n+1 sequences.
 
 All functions work on plain Python ints, so every result is exact at any
-magnitude. The column maps ``lift``/``unlift`` and the index map
-``index_lift`` use cleared-denominator closed forms; divisibility by 3 is
-asserted at each use, never assumed.
+magnitude. The column map ``lift`` uses a cleared-denominator closed
+form; divisibility by 3 is asserted at each use, never assumed.
 """
 
 DEFAULT_MAX_STEPS = 100_000
-
-
-class NotReducible(ValueError):
-    """Raised by unlift() when (m-1)/4 would leave the positive integers."""
 
 
 def _require_positive(n):
@@ -57,35 +52,6 @@ def lift(m: int, p: int = 1) -> int:
     if m < 0 or p < 0:
         raise ValueError("lift needs m >= 0 and p >= 0")
     num = (3 * m + 1) * (1 << (2 * p)) - 1
-    assert num % 3 == 0
-    return num // 3
-
-
-def unlift(m: int, p: int = 1) -> int:
-    """Apply m -> (m-1)/4 p times, checking divisibility at each step.
-
-    Raises NotReducible when an intermediate is not of the form 4k+1 with
-    k >= 1 (the quotient must stay a positive integer).
-    """
-    _require_positive(m)
-    if p < 0:
-        raise ValueError("p must be >= 0")
-    for _ in range(p):
-        if m % 4 != 1 or m == 1:
-            raise NotReducible(f"{m} is not 4k+1 with k >= 1")
-        m = (m - 1) // 4
-    return m
-
-
-def index_lift(t: int, p: int = 1) -> int:
-    """Apply t -> 4t+2 p times, via ((3t+2)*4**p - 2)/3.
-
-    Acts on the index t of 8t+5: the Syracuse image of 8t+5 is invariant
-    under this map.
-    """
-    if t < 0 or p < 0:
-        raise ValueError("index_lift needs t >= 0 and p >= 0")
-    num = (3 * t + 2) * (1 << (2 * p)) - 2
     assert num % 3 == 0
     return num // 3
 

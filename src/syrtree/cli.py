@@ -24,6 +24,10 @@ def _seed(text: str) -> int:
     try:
         n = int(text, 16) if text.lower().startswith("0x") else int(text)
     except ValueError:
+        if text.isascii() and text.isdigit():  # int() refuses ASCII digits only over the limit
+            raise argparse.ArgumentTypeError(
+                f"decimal seed of {len(text)} digits is over the interpreter's int/str "
+                "digit limit; hex input (0x...) has no limit") from None
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
     if n < 1:
         raise argparse.ArgumentTypeError("seed must be >= 1")
@@ -149,22 +153,20 @@ def _cmd_locate(args) -> int:
         return 2
     a, p, q = locate(args.n)
     anchor = args.n == 1
+    doc = {
+        "a": a,
+        "p": p,
+        "q": q,
+        "entry": args.n,
+        "residue": residue6(args.n),
+        "syr": 6 * q + a,
+    }
     if args.format == "json":
-        doc = {
-            "a": a,
-            "p": p,
-            "q": q,
-            "entry": args.n,
-            "residue": residue6(args.n),
-            "syr": 6 * q + a,
-            "trivial_cycle_anchor": anchor,
-        }
+        doc["trivial_cycle_anchor"] = anchor
         print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
     else:
-        line = f"a={a} p={p} q={q} entry={args.n} residue={residue6(args.n)} syr={6 * q + a}"
-        if anchor:
-            line += " trivial-cycle-anchor"
-        print(line)
+        line = " ".join(f"{k}={v}" for k, v in doc.items())
+        print(line + (" trivial-cycle-anchor" if anchor else ""))
     return 0
 
 

@@ -66,16 +66,6 @@ def locate(n: int) -> Coord:
     return Coord(5, p, (m - 3) >> 2)
 
 
-def syr_via_matrix(n: int) -> int:
-    """Syracuse image of n read off its column: 6q + a.
-
-    Agrees with arith.syr(n) for every odd n; the two are computed by
-    unrelated routes and cross-checked in the verification suite.
-    """
-    a, _p, q = locate(n)
-    return 6 * q + a
-
-
 def residue6(n: int) -> int:
     """Class of n mod 6, one of 1, 3, 5 (n odd)."""
     _require_odd(n)

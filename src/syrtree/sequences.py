@@ -20,7 +20,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterator, List, NamedTuple, Optional, Tuple
 
-from .arith import DEFAULT_MAX_STEPS, _require_odd, _require_positive
+from .arith import DEFAULT_MAX_STEPS, _require_odd, v2
 from .arith import syr as _syr
 from .matrices import Coord, locate
 
@@ -116,26 +116,11 @@ def col_seq(n: int, max_steps: int = DEFAULT_MAX_STEPS) -> Sequence:
     then the odd case continues; odd seeds expand syr_seq_model directly.
     Budget counts plain steps; exceeding it truncates, never raises.
     """
-    _require_positive(n)
-    prefix = [n]
-    m = n
-    while m & 1 == 0:
-        if len(prefix) - 1 >= max_steps:
-            return Sequence(n, prefix, True, "col")
-        m >>= 1
-        prefix.append(m)
-    if m == 1:
-        return Sequence(n, prefix, False, "col")
-    remaining = max_steps - (len(prefix) - 1)
-    if remaining <= 0:
-        return Sequence(n, prefix, True, "col")
-    s = syr_seq_model(m, remaining)
-    terms = prefix[:-1] + _expand_terms(s.terms)
-    truncated = s.truncated
-    if len(terms) - 1 > max_steps:
-        terms = terms[: max_steps + 1]
-        truncated = True
-    return Sequence(n, terms, truncated, "col")
+    keep = max(max_steps, 0) + 1  # a negative budget acts as 0, as in the other generators
+    r = v2(n)
+    s = syr_seq_model(n >> r, max_steps)
+    terms = [n >> i for i in range(min(r, keep))] + _expand_terms(s.terms)
+    return Sequence(n, terms[:keep], s.truncated or len(terms) > keep, "col")
 
 
 class SeqStats(NamedTuple):

@@ -48,39 +48,39 @@ def node_name(c: ComponentId) -> str:
     return f"I{c.a}(p,{c.q})"
 
 
-def _column_entries(c: ComponentId, max_p: int, max_value: Optional[int]):
-    n = entry(c.a, 0, c.q)
-    for p in range(max_p + 1):
-        if max_value is not None and n > max_value:
-            return
-        yield p, n
-        n = 4 * n + 1
-
-
-def children(c: ComponentId, max_p: int, max_value: Optional[int] = None) -> List[TreeEdge]:
-    """Child edges of a component for rows p = 0..max_p.
+def _column(c: ComponentId, max_p: int, max_value: Optional[int]):
+    """One pass down column c for rows 0..max_p: (child edges, black entries).
 
     The row-p entry n yields a child (1, (n-1)/6) or (5, (n-5)/6) by its
-    residue mod 6; multiples of 3 yield nothing, and the entry value 1
+    residue mod 6; multiples of 3 are black entries, and the entry value 1
     (root, p=0) is the trivial-cycle anchor, never an edge. max_value
-    bounds the connecting entry, not the child column.
+    bounds the entry, not the child column.
     """
     if max_p < 0:
         raise ValueError("max_p must be >= 0")
-    out = []
-    for p, n in _column_entries(c, max_p, max_value):
-        if n == 1:
-            continue
+    edges: List[TreeEdge] = []
+    blacks: List[Tuple[int, int]] = []
+    n = entry(c.a, 0, c.q)
+    for p in range(max_p + 1):
+        if max_value is not None and n > max_value:
+            break
         r = n % 6
         if r == 3:
-            continue
-        out.append(TreeEdge(c, ComponentId(r, (n - r) // 6), p, n))
-    return out
+            blacks.append((p, n))
+        elif n != 1:
+            edges.append(TreeEdge(c, ComponentId(r, (n - r) // 6), p, n))
+        n = 4 * n + 1
+    return edges, blacks
+
+
+def children(c: ComponentId, max_p: int, max_value: Optional[int] = None) -> List[TreeEdge]:
+    """Child edges of a component for rows p = 0..max_p, ordered by p."""
+    return _column(c, max_p, max_value)[0]
 
 
 def black_entries(c: ComponentId, max_p: int, max_value: Optional[int] = None) -> List[Tuple[int, int]]:
     """(p, value) pairs of the column's multiples of 3 within the bounds."""
-    return [(p, n) for p, n in _column_entries(c, max_p, max_value) if n % 6 == 3]
+    return _column(c, max_p, max_value)[1]
 
 
 @dataclass
@@ -128,7 +128,7 @@ def build_tree(
         row_edges: List[TreeEdge] = []
         row_nodes: List[ComponentId] = []
         for parent in nodes[level]:
-            es = children(parent, max_p, max_value)
+            es, black = _column(parent, max_p, max_value)
             for e in es:
                 # forced by uniqueness of the connecting entry 6q+a
                 assert e.child not in seen, f"duplicate child {e.child}"
@@ -136,7 +136,7 @@ def build_tree(
                 row_nodes.append(e.child)
             row_edges.extend(es)
             if include_black:
-                blacks[parent] = black_entries(parent, max_p, max_value)
+                blacks[parent] = black
         if not row_nodes:
             break
         edges.append(row_edges)
@@ -192,21 +192,15 @@ def _to_dot(tree: Tree, include_black: bool) -> str:
                 f'[label="via={e.via} p={e.p}"];'
             )
     if include_black:
-        for c in _ordered_black_nodes(tree):
-            for p, value in tree.blacks[c]:
-                lines.append(f'  "b{value}" [label="{value}", shape=point];')
-                lines.append(
-                    f'  "{node_name(c)}" -> "b{value}" [style=dotted, label="p={p}"];'
-                )
+        for row in tree.nodes:
+            for c in row:
+                for p, value in tree.blacks.get(c, ()):
+                    lines.append(f'  "b{value}" [label="{value}", shape=point];')
+                    lines.append(
+                        f'  "{node_name(c)}" -> "b{value}" [style=dotted, label="p={p}"];'
+                    )
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def _ordered_black_nodes(tree: Tree):
-    for row in tree.nodes:
-        for c in row:
-            if tree.blacks.get(c):
-                yield c
 
 
 def _to_json(tree: Tree, include_black: bool) -> str:

@@ -32,6 +32,10 @@ from .sequences import col_seq, walk
 
 MAX_COUNTEREXAMPLES = 10
 
+# the sweep memoizes values up to this bound only (two 8-byte list slots
+# each, 64 MiB of slots), so its memory does not grow with the range's top
+MEMO_MAX = 1 << 22
+
 # S-value tuples (S1, S3, S5, S7) for t = 0..3, fixed reference rows
 TABLE_A_ANCHORS = {
     0: (1, 5, 1, 11),
@@ -271,13 +275,13 @@ def check_connection_coverage(bound: int = 10_000) -> PropertyCheck:
     """
     t0 = time.perf_counter()
     ce = _Collector()
-    x_cap = 1
-    while entry(1, x_cap, 0) <= 6 * bound + 5 or entry(5, x_cap, 0) <= 6 * bound + 5:
-        x_cap += 1
     covered = {1: bytearray(bound + 1), 5: bytearray(bound + 1)}
     cells = 0
+    # row x starts at entry(a, x, 0) >= 4**x, so row x_max starts past the
+    # cap 6*bound+5; iter_connections returns at the first such row
+    x_max = (6 * bound + 5).bit_length()
     for parent_a in (1, 5):
-        for c in iter_connections(parent_a, x_cap, max_child=bound):
+        for c in iter_connections(parent_a, x_max, max_child=bound):
             covered[c.child_a][c.m] = 1
             cells += 1
     witnesses = 0
@@ -425,11 +429,12 @@ class SweepReport:
 
 def _sweep_chunk(args) -> dict:
     """Stats for seeds in [lo, hi]: per-seed plain-step walk, memoized over
-    [1, hi]. The memo stores exact totals only, so outcomes are identical
-    to walking every seed on its own."""
+    [1, min(hi, MEMO_MAX)]. The memo stores exact totals only, so outcomes
+    are identical to walking every seed on its own."""
     lo, hi, budget = args
-    steps_c = [-1] * (hi + 1)
-    max_c = [0] * (hi + 1)
+    cap = min(hi, MEMO_MAX)
+    steps_c = [-1] * (cap + 1)
+    max_c = [0] * (cap + 1)
     steps_c[1] = 0
     max_c[1] = 1
     decided = 0
@@ -441,10 +446,7 @@ def _sweep_chunk(args) -> dict:
         m = seed
         resolved = True
         while True:
-            if m == 1:
-                s, mx = 0, 1
-                break
-            if m <= hi and steps_c[m] >= 0:
+            if m <= cap and steps_c[m] >= 0:
                 s, mx = steps_c[m], max_c[m]
                 break
             if len(path) >= budget:
@@ -457,7 +459,7 @@ def _sweep_chunk(args) -> dict:
                 s += 1
                 if v > mx:
                     mx = v
-                if v <= hi:
+                if v <= cap:
                     steps_c[v] = s
                     max_c[v] = mx
         ok = resolved and s <= budget
@@ -568,4 +570,8 @@ def run_check(check_id: str, bound: Optional[int] = None) -> PropertyCheck:
     run, default = CHECKS.get(check_id, (None, None))
     if run is None:
         raise ValueError(f"unknown check id {check_id!r}")
-    return run(default if bound is None else bound)
+    if bound is None:
+        bound = default
+    elif bound < 1:
+        raise ValueError(f"check {check_id}: bound must be >= 1, got {bound}")
+    return run(bound)

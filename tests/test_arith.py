@@ -3,14 +3,11 @@ import random
 import pytest
 
 from syrtree.arith import (
-    NotReducible,
     col_step,
-    index_lift,
     lift,
     odd_part,
     syr,
     syr_class,
-    unlift,
     v2,
 )
 
@@ -84,39 +81,6 @@ def test_lift_closed_form_matches_iteration():
             it = 4 * it + 1
 
 
-def test_unlift_examples():
-    assert unlift(5) == 1
-    assert unlift(53, 2) == 3
-    assert unlift(9, 0) == 9
-
-
-def test_unlift_not_reducible():
-    with pytest.raises(NotReducible):
-        unlift(3)
-    with pytest.raises(NotReducible):
-        unlift(1)  # quotient would be 0
-    with pytest.raises(NotReducible):
-        unlift(53, 3)  # 3 -> not 4k+1
-
-
-def test_lift_unlift_inverse():
-    for m in range(1, 5000):
-        assert unlift(lift(m)) == m
-    for m in range(1, 2000, 2):
-        for p in range(5):
-            assert lift(unlift(lift(m, p), p), p) == lift(m, p)
-
-
-def test_index_lift():
-    assert index_lift(0) == 2
-    assert index_lift(0, 2) == 10
-    for t in range(0, 3000, 11):
-        it = t
-        for p in range(9):
-            assert index_lift(t, p) == it
-            it = 4 * it + 2
-
-
 def test_syr_class_table_rows():
     assert tuple(syr_class(a, 0) for a in (1, 3, 5, 7)) == (1, 5, 1, 11)
     assert tuple(syr_class(a, 1) for a in (1, 3, 5, 7)) == (7, 17, 5, 23)
@@ -134,12 +98,6 @@ def test_partition_identities():
         assert syr_class(5, 4 * t + 3) == syr_class(7, t)
 
 
-def test_index_lift_fixes_syr_class():
-    for t in range(2000):
-        for p in range(1, 9):
-            assert syr_class(5, index_lift(t, p)) == syr_class(5, t)
-
-
 def test_lift_preserves_syr_image():
     for m in range(1, 2002, 2):
         for p in range(9):
@@ -152,4 +110,3 @@ def test_lift_preserves_syr_image_large_random():
         m = rnd.randrange(1, 10**18, 2)
         p = rnd.randrange(0, 12)
         assert syr(lift(m, p)) == syr(m)
-        assert unlift(lift(m, p), p) == m

@@ -66,6 +66,16 @@ def test_seq_prints_integers_past_the_str_digit_limit(capsys):
                             "max_term": want.max_term, "odd_steps": want.odd_steps}
 
 
+def test_seq_over_limit_decimal_is_a_short_error(capsys):
+    digits = "7" * (sys.get_int_max_str_digits() + 101)
+    with pytest.raises(SystemExit) as exc:
+        main(["seq", digits])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert len(err) < 1024
+    assert "hex" in err
+
+
 def test_seq_strict_budget(capsys):
     assert run(capsys, "seq", "27", "--max-steps", "10", "--strict")[0] == 3
     assert run(capsys, "seq", "27", "--max-steps", "10")[0] == 0

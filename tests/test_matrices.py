@@ -1,8 +1,5 @@
-import random
-
 import pytest
 
-from syrtree.arith import syr
 from syrtree.matrices import (
     Coord,
     child_column,
@@ -10,7 +7,6 @@ from syrtree.matrices import (
     iter_connections,
     locate,
     residue6,
-    syr_via_matrix,
 )
 
 
@@ -69,24 +65,6 @@ def test_rows_above_zero_are_5_mod_8():
     # and conversely every 8t+5 lives in a row >= 1
     for t in range(5000):
         assert locate(8 * t + 5).p >= 1
-
-
-def test_syr_via_matrix_examples():
-    assert syr_via_matrix(35) == 53
-    assert syr_via_matrix(85) == 1
-    assert syr_via_matrix(13) == 5
-
-
-def test_syr_via_matrix_equals_syr():
-    for n in range(1, 100001, 2):
-        assert syr_via_matrix(n) == syr(n)
-
-
-def test_syr_via_matrix_equals_syr_large_random():
-    rnd = random.Random(3141)
-    for _ in range(500):
-        n = rnd.randrange(1, 10**18, 2)
-        assert syr_via_matrix(n) == syr(n)
 
 
 def test_residue6():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from syrtree.arith import col_step, odd_part
+from syrtree.arith import col_step, odd_part, v2
 from syrtree.matrices import Coord, entry
 from syrtree.sequences import (
     Sequence,
@@ -143,11 +143,15 @@ def test_col_seq_even_continues_as_odd_part():
 
 
 def test_col_seq_truncation_matches_plain_prefix():
-    ref = ref_col_terms(27)
-    for budget in (0, 1, 5, 41, 110, 111, 112):
-        s = col_seq(27, max_steps=budget)
-        assert s.terms == ref[: budget + 1]
-        assert s.truncated == (budget < 111)
+    # even seeds: budgets on both sides of the halving prefix's length v2(n)
+    for n in (27, 96, 2**40, 27 * 2**200):
+        ref = ref_col_terms(n)
+        r = v2(n)
+        budgets = {0, 1, 5, 41, r - 1, r, r + 1, r + 41, len(ref) - 2, len(ref) - 1, len(ref)}
+        for budget in sorted(b for b in budgets if b >= 0):
+            s = col_seq(n, max_steps=budget)
+            assert s.terms == ref[: budget + 1]
+            assert s.truncated == (budget < len(ref) - 1)
 
 
 def test_stats_examples():

@@ -1,4 +1,6 @@
 import itertools
+import re
+import tracemalloc
 
 import pytest
 
@@ -166,11 +168,23 @@ def plain_sweep(lo, hi, budget):
 
 
 def test_sweep_memoization_does_not_change_outcomes():
-    for lo, hi, budget in ((1, 3000, 10**5), (27, 40, 111), (1, 200, 9)):
+    # the last range crosses the edge of the memo window at MEMO_MAX = 2**22
+    for lo, hi, budget in ((1, 3000, 10**5), (27, 40, 111), (1, 200, 9),
+                           (2**22 - 300, 2**22 + 300, 10**5)):
         r = sweep_convergence(lo, hi, budget=budget)
         got = (r.decided, r.undecided, r.max_stopping_time, r.max_excursion,
                r.undecided_seeds)
         assert got == plain_sweep(lo, hi, budget)
+
+
+def test_sweep_memo_does_not_grow_with_hi():
+    tracemalloc.start()
+    try:
+        verify._sweep_chunk((2**24 + 1, 2**24 + 10, 1000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 2**20
 
 
 def test_sweep_worker_count_does_not_change_results():
@@ -222,6 +236,13 @@ def test_run_check_dispatch():
     assert run_check("T2.9", 1001).passed
     with pytest.raises(ValueError):
         run_check("T9.99")
+
+
+@pytest.mark.parametrize("bound", [0, -5])
+@pytest.mark.parametrize("check_id", [cid for cid, (run, _) in verify.CHECKS.items() if run])
+def test_run_check_rejects_bound_below_1(check_id, bound):
+    with pytest.raises(ValueError, match=re.escape(check_id) + ".*" + str(bound)):
+        run_check(check_id, bound)
 
 
 def test_collector_caps_capture():
