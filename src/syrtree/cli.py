@@ -20,25 +20,32 @@ from .tree import build_tree, export
 ENV_WORKERS = "SYRTREE_WORKERS"
 
 
-def _seed(text: str) -> int:
+def _int(text: str, hex_ok: bool = False) -> int:
+    """text as an integer, 0x... as hex when hex_ok. A decimal over the
+    interpreter's int/str digit limit gets a short error, not its digits."""
     try:
-        n = int(text, 16) if text.lower().startswith("0x") else int(text)
+        return int(text, 16) if hex_ok and text.lower().startswith("0x") else int(text)
     except ValueError:
-        if text.isascii() and text.isdigit():  # int() refuses ASCII digits only over the limit
+        # int() refuses a signed run of ASCII digits only over the limit
+        digits = text.strip()
+        digits = digits[1:] if digits[:1] in ("+", "-") else digits
+        if digits.isascii() and digits.isdigit():
             raise argparse.ArgumentTypeError(
-                f"decimal seed of {len(text)} digits is over the interpreter's int/str "
-                "digit limit; hex input (0x...) has no limit") from None
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+                f"decimal of {len(digits)} digits is over the interpreter's int/str digit "
+                "limit" + ("; hex input (0x...) has no limit" if hex_ok else "")) from None
+        shown = repr(text) if len(text) <= 40 else repr(text[:40]) + "..."
+        raise argparse.ArgumentTypeError(f"not an integer: {shown}") from None
+
+
+def _seed(text: str) -> int:
+    n = _int(text, hex_ok=True)
     if n < 1:
         raise argparse.ArgumentTypeError("seed must be >= 1")
     return n
 
 
 def _at_least(text: str, low: int) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    n = _int(text)
     if n < low:
         raise argparse.ArgumentTypeError(f"must be >= {low}, got {n}")
     return n
@@ -197,31 +204,28 @@ def _sweep_text(r: verify.SweepReport) -> str:
     return line
 
 
-def _cmd_verify(args) -> int:
-    # flags take precedence over the config file, the file over the environment
+def _verify_options(args) -> Optional[str]:
+    """Fill in bound, budget and workers not given as flags from the config
+    file, then the environment, then the defaults; the error line for a bad
+    file or value, else None."""
     env = os.environ.get(ENV_WORKERS)
     try:
         opts = {"bound": None, "budget": 10**5, "workers": _positive(env) if env else 1}
         if args.config:
             opts.update(_read_config(args.config))
     except argparse.ArgumentTypeError as exc:  # only the environment's value raises this
-        print(f"{ENV_WORKERS}: {exc}", file=sys.stderr)
-        return 2
+        return f"{ENV_WORKERS}: {exc}"
     except (OSError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    opts.update((k, getattr(args, k)) for k in CONFIG_KEYS if getattr(args, k) is not None)
-    bound, budget, workers = opts["bound"], opts["budget"], opts["workers"]
+        return f"config error: {exc}"
+    for key in CONFIG_KEYS:
+        if getattr(args, key) is None:
+            setattr(args, key, opts[key])
+    return None
 
-    suites = list(verify.SUITE_IDS) if args.suite == "all" else [args.suite]
-    checks: List[verify.PropertyCheck] = []
-    sweep: Optional[verify.SweepReport] = None
-    for sid in suites:
-        if sid == "sweep":
-            hi = bound if bound is not None else verify.SUITE_DEFAULT_BOUNDS["sweep"]
-            sweep = verify.sweep_convergence(1, hi, budget=budget, workers=workers)
-        else:
-            checks.append(verify.run_check(sid, bound))
+
+def _cmd_verify(args) -> int:
+    ids = verify.SUITE_IDS if args.suite == "all" else (args.suite,)
+    checks, sweep = verify.run_suite(ids, args.bound, args.budget, args.workers)
 
     if args.format == "json":
         doc = {
@@ -257,6 +261,12 @@ def _cmd_table(args) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    # the config file and the environment are input too: read them, like
+    # the flags, before the int/str digit limit is lifted below
+    error = _verify_options(args) if args.command == "verify" else None
+    if error:
+        print(error, file=sys.stderr)
+        return 2
     handler = {
         "seq": _cmd_seq,
         "locate": _cmd_locate,
@@ -264,7 +274,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "verify": _cmd_verify,
         "table": _cmd_table,
     }[args.command]
-    # outputs are exact integers of any size; decimal input was parsed
+    # outputs are exact integers of any size; all decimal input was parsed
     # above, under the interpreter's int/str digit limit
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
     if limit:

@@ -24,7 +24,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Collection, Dict, List, Optional, Tuple
 
 from .arith import syr, syr_class, v2
 from .matrices import child_column, entry, iter_connections, locate, row
@@ -431,6 +431,7 @@ def _sweep_chunk(args) -> dict:
     """Stats for seeds in [lo, hi]: per-seed plain-step walk, memoized over
     [1, min(hi, MEMO_MAX)]. The memo stores exact totals only, so outcomes
     are identical to walking every seed on its own."""
+    t0 = time.perf_counter()
     lo, hi, budget = args
     cap = min(hi, MEMO_MAX)
     steps_c = [-1] * (cap + 1)
@@ -477,6 +478,7 @@ def _sweep_chunk(args) -> dict:
         "best_steps": best_steps,
         "best_exc": best_exc,
         "undecided_seeds": undecided,
+        "elapsed": time.perf_counter() - t0,
     }
 
 
@@ -488,6 +490,62 @@ def _merge_best(a, b):
     if b[0] > a[0] or (b[0] == a[0] and b[1] < a[1]):
         return b
     return a
+
+
+def _sweep_shards(lo: int, hi: int, budget: int, workers: int) -> List[tuple]:
+    """The sweep of [lo, hi] as tasks for _run_tasks: min(workers, hi-lo+1,
+    cpu count) contiguous shards of near-equal size, in ascending order."""
+    if lo < 1 or hi < lo:
+        raise ValueError("need 1 <= lo <= hi")
+    if budget < 0 or workers < 0:
+        raise ValueError("budget and workers must be >= 0")
+    n_chunks = min(max(workers, 1), hi - lo + 1, os.cpu_count() or 1)
+    size = (hi - lo + 1 + n_chunks - 1) // n_chunks
+    return [("sweep", (a, min(a + size - 1, hi), budget)) for a in range(lo, hi + 1, size)]
+
+
+def _sweep_report(lo: int, hi: int, budget: int, results: List[dict]) -> SweepReport:
+    """Merge shard results, in shard order, into one report; its elapsed is
+    the sum of the shards' times."""
+    best_steps = None
+    best_exc = None
+    undecided_seeds: List[int] = []
+    for r in results:
+        best_steps = _merge_best(best_steps, r["best_steps"])
+        best_exc = _merge_best(best_exc, r["best_exc"])
+        undecided_seeds.extend(r["undecided_seeds"])
+    return SweepReport(
+        lo,
+        hi,
+        budget,
+        sum(r["decided"] for r in results),
+        sum(r["undecided"] for r in results),
+        best_steps,
+        best_exc,
+        undecided_seeds[:MAX_COUNTEREXAMPLES],
+        sum(r["elapsed"] for r in results),
+    )
+
+
+def _run_task(task):
+    """One task of _run_tasks: ("sweep", (lo, hi, budget)) sweeps one shard,
+    (check ID, bound) runs that check. A process pool sends this function by
+    its name, so it stays a module-level function that nothing rebinds."""
+    check_id, arg = task
+    if check_id == "sweep":
+        return _sweep_chunk(arg)
+    return run_check(check_id, arg)
+
+
+def _run_tasks(tasks: List[tuple], workers: int) -> list:
+    """Results of tasks, in task order. They run on a process pool of
+    min(workers, len(tasks), cpu count) processes, each taking the next task
+    as it comes free, or inline with no pool when that size is 1."""
+    size = min(max(workers, 1), len(tasks), os.cpu_count() or 1)
+    if size <= 1:
+        return [_run_task(t) for t in tasks]
+    with ProcessPoolExecutor(max_workers=size) as pool:
+        return list(pool.map(_run_task, tasks))
 
 
 def sweep_convergence(
@@ -504,49 +562,40 @@ def sweep_convergence(
     count or shard layout. At most min(workers, hi-lo+1, cpu count)
     shards run, one process each.
     """
-    if lo < 1 or hi < lo:
-        raise ValueError("need 1 <= lo <= hi")
-    if budget < 0 or workers < 0:
-        raise ValueError("budget and workers must be >= 0")
-    t0 = time.perf_counter()
-    n_chunks = min(max(workers, 1), hi - lo + 1, os.cpu_count() or 1)
-    size = (hi - lo + 1 + n_chunks - 1) // n_chunks
-    chunks = []
-    a = lo
-    while a <= hi:
-        b = min(a + size - 1, hi)
-        chunks.append((a, b, budget))
-        a = b + 1
-    if n_chunks == 1:
-        results = [_sweep_chunk(c) for c in chunks]
-    else:
-        with ProcessPoolExecutor(max_workers=n_chunks) as pool:
-            results = list(pool.map(_sweep_chunk, chunks))
-    decided = sum(r["decided"] for r in results)
-    undecided = sum(r["undecided"] for r in results)
-    best_steps = None
-    best_exc = None
-    undecided_seeds: List[int] = []
-    for r in results:
-        best_steps = _merge_best(best_steps, r["best_steps"])
-        best_exc = _merge_best(best_exc, r["best_exc"])
-        undecided_seeds.extend(r["undecided_seeds"])
-    return SweepReport(
-        lo,
-        hi,
-        budget,
-        decided,
-        undecided,
-        best_steps,
-        best_exc,
-        undecided_seeds[:MAX_COUNTEREXAMPLES],
-        time.perf_counter() - t0,
-    )
+    shards = _sweep_shards(lo, hi, budget, workers)
+    return _sweep_report(lo, hi, budget, _run_tasks(shards, workers))
+
+
+# the return annotation is a string: typing caches List[PropertyCheck],
+# which would keep alive every copy of this module a process imports afresh
+def run_suite(
+    ids: Collection[str],
+    bound: Optional[int] = None,
+    budget: int = 10**5,
+    workers: int = 1,
+) -> "Tuple[List[PropertyCheck], Optional[SweepReport]]":
+    """Run the checks and the sweep named in ids on one process pool.
+
+    Each check is one task and the sweep of [1, bound] adds its shards, cut
+    as sweep_convergence cuts them; at most min(workers, tasks, cpu count)
+    processes run them all. Returns the checks in the order of ids and the
+    merged sweep (None when ids has no "sweep"): the same reports as
+    run_check and sweep_convergence give one by one. A check's elapsed is
+    measured in the process that ran it.
+    """
+    tasks = [(cid, bound) for cid in ids if cid != "sweep"]
+    n_checks = len(tasks)
+    if "sweep" in ids:
+        hi = bound if bound is not None else SUITE_DEFAULT_BOUNDS["sweep"]
+        tasks += _sweep_shards(1, hi, budget, workers)
+    results = _run_tasks(tasks, workers)
+    sweep = _sweep_report(1, hi, budget, results[n_checks:]) if "sweep" in ids else None
+    return results[:n_checks], sweep
 
 
 # check ID -> (check run at a bound, default bound), in report order. The
 # sweep has no such function: it also takes a budget and a worker count,
-# so the CLI calls sweep_convergence itself.
+# so run_suite cuts it into shards itself.
 CHECKS = {
     "L2.1": (check_partition, 10_000),
     "T2.9": (check_coverage, 10**6),

@@ -214,5 +214,12 @@ def test_c10_determinism(capsys):
     ]
     ok = ok and sweep_out[0] == sweep_out[1] == sweep_out[2]
     ok = ok and json.loads(sweep_out[0])["sweep"]["decided"] == 20000
+    # the whole suite shares one pool: checks and sweep shards
+    suite_out = [
+        catch(["verify", "--suite", "all", "--bound", "2000",
+               "--workers", str(w), "--format", "json"])
+        for w in (1, 2, 4)
+    ]
+    ok = ok and suite_out[0] == suite_out[1] == suite_out[2]
     with capsys.disabled():
         report("C10", "byte determinism across runs and workers", ok)

@@ -218,6 +218,42 @@ def test_verify_rejects_bad_config_and_env(capsys, monkeypatch, tmp_path, config
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("where, prefix, problem", [
+    ("flag", "", "digit limit"),
+    ("flag", "+", "digit limit"),
+    ("flag", "x", "not an integer"),
+    ("config", "", "digit limit"),
+    ("env", "", "digit limit"),
+])
+def test_over_limit_decimal_value_is_a_short_error(capsys, monkeypatch, tmp_path, where,
+                                                   prefix, problem):
+    # the config file and the environment used to be read with the limit
+    # lifted, so an over-limit value was taken as given
+    digits = prefix + "7" * (sys.get_int_max_str_digits() + 101)
+    argv = ["verify", "--suite", "L2.1"]
+    if where == "flag":
+        argv += ["--workers", digits]
+    elif where == "config":
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text(f"workers={digits}\n")
+        argv += ["--config", str(cfg)]
+    else:
+        monkeypatch.setenv("SYRTREE_WORKERS", digits)
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects a flag after its usage lines
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    if where != "flag":
+        assert len(lines) == 1
+    assert problem in lines[-1]
+    assert len(lines[-1].encode()) < 200
+    assert "7" * 100 not in err
+
+
 def test_workers_env_default(capsys, monkeypatch):
     monkeypatch.setenv("SYRTREE_WORKERS", "2")
     code, out, _ = run(capsys, "verify", "--suite", "sweep", "--bound", "200",

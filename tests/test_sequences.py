@@ -1,3 +1,5 @@
+import csv
+import io
 import random
 
 import pytest
@@ -185,3 +187,32 @@ def test_to_csv():
     )
     trunc = to_csv([col_seq(27, max_steps=3)], include_terms=False)
     assert trunc == "seed,stopping_time,max_term\n27,undecided,124\n"
+
+
+def csv_writer_reference(seqs, include_terms=True):
+    """to_csv as csv.writer writes it, the reference for the joined rows."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(["seed", "stopping_time", "max_term", "terms"][:4 if include_terms else 3])
+    for s in seqs:
+        st = stats(s)
+        row = [s.seed, "undecided" if st.stopping_time is None else st.stopping_time,
+               st.max_term]
+        if include_terms:
+            row.append(" ".join(str(t) for t in s.terms))
+        w.writerow(row)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("include_terms", [True, False])
+def test_to_csv_matches_csv_writer(include_terms):
+    big = random.Random(4000).getrandbits(4000) | (1 << 3999) | 1
+    batches = [
+        [],
+        [syr_seq_model(27)],
+        [col_seq(27, max_steps=3)],  # undecided
+        [col_seq(1), syr_seq_model(1), col_seq(96), syr_seq_model(big, max_steps=40),
+         col_seq(big, max_steps=40)],
+    ]
+    for seqs in batches:
+        assert to_csv(seqs, include_terms) == csv_writer_reference(seqs, include_terms)

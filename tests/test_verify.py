@@ -1,14 +1,17 @@
 import itertools
+import json
 import re
 import tracemalloc
 
 import pytest
 
 from syrtree import verify
+from syrtree.cli import main
 from syrtree.matrices import Coord, entry
 from syrtree.sequences import walk
 from syrtree.verify import (
     MAX_COUNTEREXAMPLES,
+    SUITE_IDS,
     _Collector,
     check_closed_forms,
     check_connection_coverage,
@@ -17,6 +20,7 @@ from syrtree.verify import (
     check_even_identity,
     check_partition,
     run_check,
+    run_suite,
     sweep_convergence,
     table_a_rows,
     table_b_cells,
@@ -66,14 +70,15 @@ def test_check_cycle_freedom_reports_exhausted_budget():
     }
 
 
-def test_check_cycle_freedom_reports_a_cycling_walk(monkeypatch):
-    # a walk that closes the cycle 35 -> 53 -> 35 (the real cells of both)
-    def cycling_walk(n, max_steps):
-        if n != 35:
-            return walk(n, max_steps)
-        steps = itertools.cycle([(Coord(5, 0, 8), 53), (Coord(5, 2, 0), 35)])
-        return itertools.islice(steps, max_steps)
+def cycling_walk(n, max_steps):
+    """walk, except that 35 closes the cycle 35 -> 53 -> 35 (the real cells of both)."""
+    if n != 35:
+        return walk(n, max_steps)
+    steps = itertools.cycle([(Coord(5, 0, 8), 53), (Coord(5, 2, 0), 35)])
+    return itertools.islice(steps, max_steps)
 
+
+def test_check_cycle_freedom_reports_a_cycling_walk(monkeypatch):
     monkeypatch.setattr(verify, "walk", cycling_walk)
     c = check_cycle_freedom(35)
     assert not c.passed
@@ -193,8 +198,10 @@ def test_sweep_worker_count_does_not_change_results():
         assert sweep_convergence(1, 5000, workers=workers).as_dict() == base
 
 
-def test_sweep_process_count_is_bounded(monkeypatch):
-    # a stand-in pool: records its size and maps inline, so no process starts
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Sizes of the process pools started, with a stand-in pool that maps
+    inline, so no process starts, on a host of 4 CPUs."""
     sizes = []
 
     class InlinePool:
@@ -212,11 +219,48 @@ def test_sweep_process_count_is_bounded(monkeypatch):
 
     monkeypatch.setattr(verify, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(verify.os, "cpu_count", lambda: 4)
+    return sizes
+
+
+def test_sweep_process_count_is_bounded(pool_sizes):
     base = sweep_convergence(1, 100).as_dict()
     assert sweep_convergence(1, 3, workers=500).as_dict() == sweep_convergence(1, 3).as_dict()
     assert sweep_convergence(1, 100, workers=500).as_dict() == base
     assert sweep_convergence(1, 100, workers=3).as_dict() == base
-    assert sizes == [3, 4, 3]
+    assert pool_sizes == [3, 4, 3]
+
+
+def suite_dicts(suite):
+    checks, sweep = suite
+    return [c.as_dict() for c in checks], sweep.as_dict() if sweep is not None else None
+
+
+def test_suite_pool_size_is_bounded(pool_sizes, monkeypatch, capsys):
+    serial = suite_dicts(run_suite(SUITE_IDS, 200))
+    assert pool_sizes == []  # one worker starts no pool
+    assert serial[0] == [run_check(cid, 200).as_dict() for cid in SUITE_IDS[:-1]]
+    assert serial[1] == sweep_convergence(1, 200).as_dict()
+    # 6 checks, then min(workers, 200 seeds, 4 CPUs) sweep shards
+    for workers in (2, 3, 500):
+        assert suite_dicts(run_suite(SUITE_IDS, 200, workers=workers)) == serial
+    assert suite_dicts(run_suite(["L2.1", "T2.11"], 200, workers=500)) == (serial[0][0:3:2], None)
+    assert pool_sizes == [2, 3, 4, 2]
+
+    # checks that fail inside the pool keep exit 1 and their report order
+    monkeypatch.setattr(verify, "walk", cycling_walk)
+    monkeypatch.setattr(verify, "v2", lambda m: 1)
+    outs = []
+    for workers in ("1", "3"):
+        assert main(["verify", "--suite", "all", "--bound", "200", "--workers", workers,
+                     "--format", "json"]) == 1
+        outs.append(capsys.readouterr().out)
+    assert pool_sizes[4:] == [3]
+    assert outs[0] == outs[1]
+    checks = json.loads(outs[1])["checks"]
+    assert [c["id"] for c in checks] == list(SUITE_IDS[:-1])
+    assert [c["id"] for c in checks if not c["passed"]] == ["T2.15", "L3.3"]
+    assert checks[4]["counterexamples"][0]["seed"] == 35
+    assert checks[5]["counterexamples"][0]["m"] == 4
 
 
 def test_sweep_rejects_bad_range():
