@@ -20,6 +20,7 @@ Check IDs (stable, individually addressable from the CLI):
     sweep  convergence statistics over a seed range
 """
 
+import functools
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -32,9 +33,13 @@ from .sequences import col_seq, walk
 
 MAX_COUNTEREXAMPLES = 10
 
-# the sweep memoizes values up to this bound only (two 8-byte list slots
-# each, 64 MiB of slots), so its memory does not grow with the range's top
+# the sweep memoizes odd values up to this bound only (two 8-byte list slots
+# per odd value, 32 MiB of slots), so its memory does not grow with the
+# range's top
 MEMO_MAX = 1 << 22
+
+# above its memo window the sweep takes this many Terras steps at once
+JUMP_K = 8
 
 # S-value tuples (S1, S3, S5, S7) for t = 0..3, fixed reference rows
 TABLE_A_ANCHORS = {
@@ -427,49 +432,116 @@ class SweepReport:
         }
 
 
+@functools.cache
+def _jump_table() -> tuple:
+    """The sweep's JUMP_K-step table, as five tuples indexed by b < 2^JUMP_K.
+
+    JUMP_K Terras steps (n -> n/2, odd n -> (3n+1)/2) take 2^JUMP_K*a + b to
+    p3[b]*a + d[b] in steps[b] plain steps, where p3[b] = 3^c(b) and steps[b]
+    = JUMP_K + c(b) for the c(b) odd steps, and no plain value on the way
+    exceeds ua[b]*a + ub[b]. Built on first use, so importing costs nothing.
+    """
+    size = 1 << JUMP_K
+    p3, steps, d, ua, ub = ([0] * size for _ in range(5))
+    for b in range(size):
+        # n = A*a + B; A stays even until the last halving, so B's parity
+        # is n's for every a
+        A, B, c = size, b, 0
+        hi_a, hi_b = A, B
+        for _ in range(JUMP_K):
+            if B & 1:
+                A, B, c = 3 * A, 3 * B + 1, c + 1
+                hi_a, hi_b = max(hi_a, A), max(hi_b, B)
+            A, B = A >> 1, B >> 1
+        p3[b], steps[b], d[b], ua[b], ub[b] = A, JUMP_K + c, B, hi_a, hi_b
+    return tuple(p3), tuple(steps), tuple(d), tuple(ua), tuple(ub)
+
+
 def _sweep_chunk(args) -> dict:
-    """Stats for seeds in [lo, hi]: per-seed plain-step walk, memoized over
-    [1, min(hi, MEMO_MAX)]. The memo stores exact totals only, so outcomes
-    are identical to walking every seed on its own."""
+    """Stats for seeds in [lo, hi], walked from odd term to odd term.
+
+    A step from odd m is 3m+1 followed by its halvings, 1 + z plain steps
+    whose largest value is 3m+1, so a trajectory's maximum is the seed or
+    some 3m+1. Odd values up to cap = min(hi, MEMO_MAX) are memoized, from
+    the first one a walk meets on, with their exact plain steps to 1 and
+    trajectory maximum. Above max(cap, 2^(JUMP_K+1)) a walk takes JUMP_K
+    Terras steps at once through _jump_table, unless the block's bound on
+    its values exceeds the shard's max-excursion record; such a block is
+    walked step by step. A skipped block holds no value above the record,
+    and seeds ascend, so no such value can change the report, nor a memoized
+    maximum it left out. Outcomes are identical to walking every seed on
+    its own, and a walk stops once it has spent its budget.
+    """
     t0 = time.perf_counter()
     lo, hi, budget = args
     cap = min(hi, MEMO_MAX)
-    steps_c = [-1] * (cap + 1)
-    max_c = [0] * (cap + 1)
-    steps_c[1] = 0
-    max_c[1] = 1
+    # slot v >> 1 is odd v; steps_c -1 means not known yet
+    steps_c = [-1] * ((cap >> 1) + 1)
+    max_c = [0] * ((cap >> 1) + 1)
+    steps_c[0] = 0
+    max_c[0] = 1
+    p3, jsteps, jd, ua, ub = _jump_table()
+    jump_above = max(cap, 2 << JUMP_K)
+    mask = (1 << JUMP_K) - 1
+    record = 0  # best_exc's value, 0 until a seed is decided
     decided = 0
     best_steps: Optional[Tuple[int, int]] = None
     best_exc: Optional[Tuple[int, int]] = None
     undecided: List[int] = []
     for seed in range(lo, hi + 1):
-        path = []
-        m = seed
-        resolved = True
+        z = (seed & -seed).bit_length() - 1
+        m = seed >> z
+        s = z
+        mx = seed
+        path = None  # (odd value, steps to it), from the first one in the window on
         while True:
-            if m <= cap and steps_c[m] >= 0:
-                s, mx = steps_c[m], max_c[m]
+            if m <= cap:
+                k = steps_c[m >> 1]
+                if k >= 0:
+                    break
+                if path is None:
+                    path = []
+            if s >= budget:
+                k = -1
                 break
-            if len(path) >= budget:
-                resolved = False
-                break
-            path.append(m)
-            m = 3 * m + 1 if m & 1 else m >> 1
-        if resolved:
-            for v in reversed(path):
-                s += 1
-                if v > mx:
-                    mx = v
-                if v <= cap:
-                    steps_c[v] = s
-                    max_c[v] = mx
-        ok = resolved and s <= budget
-        if ok:
+            if m > jump_above:
+                b = m & mask
+                a = m >> JUMP_K
+                if ua[b] * a + ub[b] <= record:
+                    m = p3[b] * a + jd[b]
+                    z = (m & -m).bit_length()
+                    s += jsteps[b] + z - 1
+                    m >>= z - 1
+                    continue
+            if path is not None:
+                path += (m, s)
+            t = 3 * m + 1
+            if t > mx:
+                mx = t
+            z = (t & -t).bit_length()
+            s += z
+            m = t >> (z - 1)
+        if k >= 0:
+            s += k
+            top = max_c[m >> 1]
+            if top > mx:
+                mx = top
+            if path:
+                for j in range(len(path) - 2, -1, -2):
+                    v = path[j]
+                    t = 3 * v + 1
+                    if t > top:
+                        top = t
+                    if v <= cap:
+                        steps_c[v >> 1] = s - path[j + 1]
+                        max_c[v >> 1] = top
+        if k >= 0 and s <= budget:
             decided += 1
             if best_steps is None or s > best_steps[0] or (s == best_steps[0] and seed < best_steps[1]):
                 best_steps = (s, seed)
             if best_exc is None or mx > best_exc[0] or (mx == best_exc[0] and seed < best_exc[1]):
                 best_exc = (mx, seed)
+                record = mx
         elif len(undecided) < MAX_COUNTEREXAMPLES:
             undecided.append(seed)
     return {

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from syrtree.arith import syr
-from syrtree.matrices import entry, locate
-from syrtree.sequences import syr_seq_model, syr_seq_oracle
+from syrtree.matrices import child_column, entry, locate
+from syrtree.sequences import collatz_expand, syr_seq_model, syr_seq_oracle
 
 MAX_BITS = 10**4
 
@@ -42,3 +42,27 @@ def test_model_equals_oracle(n):
     # a 10^4-bit seed needs tens of thousands of steps to reach 1, so the
     # two are compared on a 300-step prefix
     assert syr_seq_model(n, max_steps=300) == syr_seq_oracle(n, max_steps=300)
+
+
+@checked
+@given(st.integers(1, 200).flatmap(lambda bits: st.integers(1 << (bits - 1), (1 << bits) - 1))
+       .map(lambda n: n | 1))
+def test_collatz_expand_of_oracle_is_plain_iteration(n):
+    terms = [n]
+    while terms[-1] != 1:
+        m = terms[-1]
+        terms.append(3 * m + 1 if m & 1 else m >> 1)
+    assert collatz_expand(syr_seq_oracle(n)).terms == terms
+
+
+@checked
+@given(st.sampled_from((1, 5)), st.sampled_from((1, 5)), st.integers(0, 2000),
+       st.integers(0, 2**64 - 1))
+def test_child_column_equals_enumeration(child_a, parent_a, x, q):
+    # the cell's entry: the row-0 value (8q+1 in matrix 1, 4q+3 in matrix 5)
+    # after x applications of m -> 4m+1
+    e = 8 * q + 1 if parent_a == 1 else 4 * q + 3
+    for _ in range(x):
+        e = 4 * e + 1
+    expected = (e - child_a) // 6 if e % 6 == child_a else None
+    assert child_column(child_a, parent_a, x, q) == expected

@@ -4,6 +4,8 @@ import re
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from syrtree import verify
 from syrtree.cli import main
@@ -172,14 +174,58 @@ def plain_sweep(lo, hi, budget):
             undecided[:MAX_COUNTEREXAMPLES])
 
 
+def sweep_outcome(lo, hi, budget):
+    r = sweep_convergence(lo, hi, budget=budget)
+    return (r.decided, r.undecided, r.max_stopping_time, r.max_excursion,
+            r.undecided_seeds)
+
+
 def test_sweep_memoization_does_not_change_outcomes():
-    # the last range crosses the edge of the memo window at MEMO_MAX = 2**22
+    # (2**22 - 300, 2**22 + 300) crosses the edge of the memo window at
+    # MEMO_MAX = 2**22; (1, 100) has a window below 2**(JUMP_K+1); at budget
+    # 14 walks that reach the memo over budget still fill it, with maxima
+    # from above the window; budgets 25 and 40 at 10**7 cut walks inside a
+    # jump block; 2**30 needs exactly 30 steps
     for lo, hi, budget in ((1, 3000, 10**5), (27, 40, 111), (1, 200, 9),
-                           (2**22 - 300, 2**22 + 300, 10**5)):
-        r = sweep_convergence(lo, hi, budget=budget)
-        got = (r.decided, r.undecided, r.max_stopping_time, r.max_excursion,
-               r.undecided_seeds)
-        assert got == plain_sweep(lo, hi, budget)
+                           (2**22 - 300, 2**22 + 300, 10**5), (1, 100, 10**5),
+                           (1, 300, 30), (1, 300, 14), (10**7 + 1, 10**7 + 3000, 25),
+                           (10**7 + 1, 10**7 + 3000, 40),
+                           (2**40 + 1, 2**40 + 2000, 10**5),
+                           (2**30, 2**30, 29), (2**30, 2**30, 30)):
+        assert sweep_outcome(lo, hi, budget) == plain_sweep(lo, hi, budget)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(st.one_of(st.integers(1, 1000), st.integers(1, 2**64)), st.integers(0, 200),
+       st.integers(0, 1000))
+def test_sweep_equals_plain_sweep_on_random_windows(lo, width, budget):
+    assert sweep_outcome(lo, lo + width, budget) == plain_sweep(lo, lo + width, budget)
+
+
+def terras_block(n):
+    """(end value, plain steps, plain values) of JUMP_K Terras steps from n,
+    one plain 3n+1 or n/2 step at a time."""
+    values, steps = [n], 0
+    for _ in range(verify.JUMP_K):
+        if n & 1:
+            n = 3 * n + 1
+            values.append(n)
+            steps += 1
+        n >>= 1
+        values.append(n)
+        steps += 1
+    return n, steps, values
+
+
+def test_jump_table_matches_plain_steps():
+    p3, steps, d, ua, ub = verify._jump_table()
+    size = 1 << verify.JUMP_K
+    assert len(p3) == len(steps) == len(d) == len(ua) == len(ub) == size
+    for b in range(size):
+        for a in (1, 2, 3**40):
+            end, plain_steps, values = terras_block(size * a + b)
+            assert (p3[b] * a + d[b], steps[b]) == (end, plain_steps), (a, b)
+            assert max(values) <= ua[b] * a + ub[b], (a, b)
 
 
 def test_sweep_memo_does_not_grow_with_hi():
@@ -190,6 +236,17 @@ def test_sweep_memo_does_not_grow_with_hi():
     finally:
         tracemalloc.stop()
     assert peak < 100 * 2**20
+
+
+def test_sweep_memo_holds_odd_values_only():
+    # one slot per odd value up to MEMO_MAX in each of two lists: 32 MiB
+    tracemalloc.start()
+    try:
+        verify._sweep_chunk((2**24 + 1, 2**24 + 10, 1000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2**20
 
 
 def test_sweep_worker_count_does_not_change_results():
