@@ -33,8 +33,8 @@ from .sequences import col_seq, walk
 
 MAX_COUNTEREXAMPLES = 10
 
-# the sweep memoizes odd values up to this bound only (two 8-byte list slots
-# per odd value, 32 MiB of slots), so its memory does not grow with the
+# the sweep memoizes odd values up to this bound only (one 8-byte list slot
+# per odd value, 16 MiB of slots), so its memory does not grow with the
 # range's top
 MEMO_MAX = 1 << 22
 
@@ -462,24 +462,28 @@ def _sweep_chunk(args) -> dict:
 
     A step from odd m is 3m+1 followed by its halvings, 1 + z plain steps
     whose largest value is 3m+1, so a trajectory's maximum is the seed or
-    some 3m+1. Odd values up to cap = min(hi, MEMO_MAX) are memoized, from
-    the first one a walk meets on, with their exact plain steps to 1 and
-    trajectory maximum. Above max(cap, 2^(JUMP_K+1)) a walk takes JUMP_K
-    Terras steps at once through _jump_table, unless the block's bound on
-    its values exceeds the shard's max-excursion record; such a block is
-    walked step by step. A skipped block holds no value above the record,
-    and seeds ascend, so no such value can change the report, nor a memoized
-    maximum it left out. Outcomes are identical to walking every seed on
-    its own, and a walk stops once it has spent its budget.
+    some 3m+1. Odd values up to cap = min(hi, MEMO_MAX) are memoized with
+    their exact plain steps to 1. Above max(cap, 2^(JUMP_K+1)) a walk takes
+    JUMP_K Terras steps at once through _jump_table, unless the block's
+    bound on its values exceeds the shard's max-excursion record; such a
+    block is walked step by step.
+
+    Only walks that reach 1 within the budget fill the memo. Such a seed's
+    trajectory maximum is at most the record once it is counted, so no
+    value past a memo hit, nor in a skipped block, can exceed the record:
+    a seed beats the record exactly when the maximum of its own walk does.
+    A walk that ends over budget does not raise the record, so it may pass
+    values above it; were its path memoized, a later seed would reach such
+    a value past a memo hit without seeing it. Seeds ascend, so a strict >
+    keeps the smaller seed on a tie. Outcomes are identical to walking
+    every seed on its own, and a walk stops once it has spent its budget.
     """
     t0 = time.perf_counter()
     lo, hi, budget = args
     cap = min(hi, MEMO_MAX)
-    # slot v >> 1 is odd v; steps_c -1 means not known yet
+    # slot v >> 1 is odd v; -1 means not known yet
     steps_c = [-1] * ((cap >> 1) + 1)
-    max_c = [0] * ((cap >> 1) + 1)
     steps_c[0] = 0
-    max_c[0] = 1
     p3, jsteps, jd, ua, ub = _jump_table()
     jump_above = max(cap, 2 << JUMP_K)
     mask = (1 << JUMP_K) - 1
@@ -493,14 +497,13 @@ def _sweep_chunk(args) -> dict:
         m = seed >> z
         s = z
         mx = seed
-        path = None  # (odd value, steps to it), from the first one in the window on
+        path = []  # (odd value in the window, steps to it)
         while True:
             if m <= cap:
                 k = steps_c[m >> 1]
                 if k >= 0:
                     break
-                if path is None:
-                    path = []
+                path += (m, s)
             if s >= budget:
                 k = -1
                 break
@@ -513,33 +516,20 @@ def _sweep_chunk(args) -> dict:
                     s += jsteps[b] + z - 1
                     m >>= z - 1
                     continue
-            if path is not None:
-                path += (m, s)
             t = 3 * m + 1
             if t > mx:
                 mx = t
             z = (t & -t).bit_length()
             s += z
             m = t >> (z - 1)
-        if k >= 0:
+        if k >= 0 and s + k <= budget:
             s += k
-            top = max_c[m >> 1]
-            if top > mx:
-                mx = top
-            if path:
-                for j in range(len(path) - 2, -1, -2):
-                    v = path[j]
-                    t = 3 * v + 1
-                    if t > top:
-                        top = t
-                    if v <= cap:
-                        steps_c[v >> 1] = s - path[j + 1]
-                        max_c[v >> 1] = top
-        if k >= 0 and s <= budget:
+            for j in range(0, len(path), 2):
+                steps_c[path[j] >> 1] = s - path[j + 1]
             decided += 1
-            if best_steps is None or s > best_steps[0] or (s == best_steps[0] and seed < best_steps[1]):
+            if best_steps is None or s > best_steps[0]:
                 best_steps = (s, seed)
-            if best_exc is None or mx > best_exc[0] or (mx == best_exc[0] and seed < best_exc[1]):
+            if mx > record:
                 best_exc = (mx, seed)
                 record = mx
         elif len(undecided) < MAX_COUNTEREXAMPLES:
@@ -554,47 +544,45 @@ def _sweep_chunk(args) -> dict:
     }
 
 
-def _merge_best(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    if b[0] > a[0] or (b[0] == a[0] and b[1] < a[1]):
-        return b
-    return a
+def _pool_size(workers: int, tasks: int) -> int:
+    """min(max(workers, 1), tasks, CPUs this process may run on)."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(max(workers, 1), tasks, cpus)
 
 
 def _sweep_shards(lo: int, hi: int, budget: int, workers: int) -> List[tuple]:
-    """The sweep of [lo, hi] as tasks for _run_tasks: min(workers, hi-lo+1,
-    cpu count) contiguous shards of near-equal size, in ascending order."""
+    """The sweep of [lo, hi] as tasks for _run_tasks: _pool_size(workers,
+    hi-lo+1) contiguous shards of near-equal size, in ascending order."""
     if lo < 1 or hi < lo:
         raise ValueError("need 1 <= lo <= hi")
     if budget < 0 or workers < 0:
         raise ValueError("budget and workers must be >= 0")
-    n_chunks = min(max(workers, 1), hi - lo + 1, os.cpu_count() or 1)
+    n_chunks = _pool_size(workers, hi - lo + 1)
     size = (hi - lo + 1 + n_chunks - 1) // n_chunks
     return [("sweep", (a, min(a + size - 1, hi), budget)) for a in range(lo, hi + 1, size)]
 
 
 def _sweep_report(lo: int, hi: int, budget: int, results: List[dict]) -> SweepReport:
     """Merge shard results, in shard order, into one report; its elapsed is
-    the sum of the shards' times."""
-    best_steps = None
-    best_exc = None
-    undecided_seeds: List[int] = []
-    for r in results:
-        best_steps = _merge_best(best_steps, r["best_steps"])
-        best_exc = _merge_best(best_exc, r["best_exc"])
-        undecided_seeds.extend(r["undecided_seeds"])
+    the sum of the shards' times. Shards ascend, so the first maximum over
+    them keeps the smaller seed on a tie."""
+
+    def first_max(key):
+        bests = [r[key] for r in results if r[key] is not None]
+        return max(bests, key=lambda best: best[0], default=None)
+
     return SweepReport(
         lo,
         hi,
         budget,
         sum(r["decided"] for r in results),
         sum(r["undecided"] for r in results),
-        best_steps,
-        best_exc,
-        undecided_seeds[:MAX_COUNTEREXAMPLES],
+        first_max("best_steps"),
+        first_max("best_exc"),
+        [n for r in results for n in r["undecided_seeds"]][:MAX_COUNTEREXAMPLES],
         sum(r["elapsed"] for r in results),
     )
 
@@ -611,9 +599,9 @@ def _run_task(task):
 
 def _run_tasks(tasks: List[tuple], workers: int) -> list:
     """Results of tasks, in task order. They run on a process pool of
-    min(workers, len(tasks), cpu count) processes, each taking the next task
-    as it comes free, or inline with no pool when that size is 1."""
-    size = min(max(workers, 1), len(tasks), os.cpu_count() or 1)
+    _pool_size(workers, len(tasks)) processes, each taking the next task as
+    it comes free, or inline with no pool when that size is 1."""
+    size = _pool_size(workers, len(tasks))
     if size <= 1:
         return [_run_task(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=size) as pool:
@@ -628,11 +616,12 @@ def sweep_convergence(
 ) -> SweepReport:
     """Run every seed in [lo, hi] to 1 (or to the budget) and aggregate.
 
-    Sharding is by contiguous sub-ranges; per-seed results are intrinsic,
-    and the merge is associative with explicit tie-breaks (larger stat
-    wins, then smaller seed), so the report is identical for any worker
-    count or shard layout. At most min(workers, hi-lo+1, cpu count)
-    shards run, one process each.
+    Sharding is by contiguous sub-ranges and per-seed results are
+    intrinsic. Seeds ascend within a shard and shards ascend in task order,
+    so keeping the first maximum, within a shard and then over the shards,
+    keeps the smaller seed on a tie: the report is identical for any worker
+    count or shard layout. At most min(workers, hi-lo+1, CPUs this process
+    may run on) shards run, one process each.
     """
     shards = _sweep_shards(lo, hi, budget, workers)
     return _sweep_report(lo, hi, budget, _run_tasks(shards, workers))
@@ -649,7 +638,7 @@ def run_suite(
     """Run the checks and the sweep named in ids on one process pool.
 
     Each check is one task and the sweep of [1, bound] adds its shards, cut
-    as sweep_convergence cuts them; at most min(workers, tasks, cpu count)
+    as sweep_convergence cuts them; at most _pool_size(workers, tasks)
     processes run them all. Returns the checks in the order of ids and the
     merged sweep (None when ids has no "sweep"): the same reports as
     run_check and sweep_convergence give one by one. A check's elapsed is

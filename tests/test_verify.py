@@ -239,14 +239,14 @@ def test_sweep_memo_does_not_grow_with_hi():
 
 
 def test_sweep_memo_holds_odd_values_only():
-    # one slot per odd value up to MEMO_MAX in each of two lists: 32 MiB
+    # one 8-byte slot per odd value up to MEMO_MAX, in one list: 16 MiB
     tracemalloc.start()
     try:
         verify._sweep_chunk((2**24 + 1, 2**24 + 10, 1000))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 48 * 2**20
+    assert peak < 24 * 2**20
 
 
 def test_sweep_worker_count_does_not_change_results():
@@ -258,7 +258,8 @@ def test_sweep_worker_count_does_not_change_results():
 @pytest.fixture
 def pool_sizes(monkeypatch):
     """Sizes of the process pools started, with a stand-in pool that maps
-    inline, so no process starts, on a host of 4 CPUs."""
+    inline, so no process starts, on a host of 4 CPUs that this process may
+    all run on."""
     sizes = []
 
     class InlinePool:
@@ -276,6 +277,7 @@ def pool_sizes(monkeypatch):
 
     monkeypatch.setattr(verify, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(verify.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
     return sizes
 
 
@@ -285,6 +287,13 @@ def test_sweep_process_count_is_bounded(pool_sizes):
     assert sweep_convergence(1, 100, workers=500).as_dict() == base
     assert sweep_convergence(1, 100, workers=3).as_dict() == base
     assert pool_sizes == [3, 4, 3]
+
+
+def test_pool_size_honours_cpu_affinity(pool_sizes, monkeypatch):
+    # pinned to 1 of the host's 4 CPUs: one shard, run inline
+    monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: {2})
+    assert sweep_convergence(1, 100, workers=4).as_dict() == sweep_convergence(1, 100).as_dict()
+    assert pool_sizes == []
 
 
 def suite_dicts(suite):
