@@ -315,42 +315,78 @@ def check_cycle_freedom(bound: int = 10**5, max_steps: int = 10**5) -> PropertyC
     The final-pair exception is forced: the predecessor of 1 is always an
     entry of column (1, 0), which also holds 1 itself (the trivial cycle;
     sequences may end ...,5,1 or ...,21,1).
+
+    Seeds ascend, and a walk stops at its first term that is an already
+    certified seed (Terras' stopping-time idea). The report is still the
+    one walking every seed to 1 gives. The walk is a function of the
+    current value, and the certified seed's walk to 1 is the suffix the
+    full walk would take. Suppose a prefix term equalled a term of that
+    suffix. From there the prefix would follow the suffix, so the certified
+    walk would meet its own start again, or the prefix would reach 1 before
+    it ends, where the walk stops. Both are impossible. So no repeat spans
+    the prefix and the suffix, the suffix has none of its own, and the seed
+    reaches 1 exactly as many steps later as the certified seed took. A seed
+    with a counterexample certifies nothing, so later walks go through it
+    in full.
     """
     t0 = time.perf_counter()
     ce = _Collector()
+    # slot s >> 1 holds the steps to 1 of a certified odd seed s <= cap, -1
+    # until then, so the list does not grow with bound past MEMO_MAX. 1 is
+    # 0 steps from itself: seed 1 keeps that slot, as its walk's one step
+    # 1 -> 1 is the trivial cycle
+    cap = min(bound, MEMO_MAX)
+    certified = [-1] * ((cap >> 1) + 1)
+    certified[0] = 0
     seeds = 0
     for seed in range(1, bound + 1, 2):
         seeds += 1
-        found = _first_revisit(seed, max_steps)
-        if found is not None and not ce.add(seed=seed, **found,
-                                            repro=f"syrtree seq {seed} --kind syr"):
+        found, steps = _first_revisit(seed, max_steps, certified)
+        if found is None:
+            if 1 < seed <= cap:
+                certified[seed >> 1] = steps
+        elif not ce.add(seed=seed, **found, repro=f"syrtree seq {seed} --kind syr"):
             break
     return ce.result("T2.15", f"odd seeds<={bound}", {"seeds_checked": seeds}, t0)
 
 
-def _first_revisit(seed: int, max_steps: int) -> Optional[dict]:
-    """T2.15 for one seed: what its column walk repeats first, or None.
+def _first_revisit(seed: int, max_steps: int,
+                   certified: List[int]) -> Tuple[Optional[dict], int]:
+    """T2.15 for one seed: (None, its steps to 1), or (what its column walk
+    repeats first, -1).
 
     Checks terms 0..max_steps; a walk still short of 1 after term max_steps
     cannot be certified. Columns are keyed by their connection point 6q+a,
-    which no two columns share.
+    which no two columns share. The walk stops at the first next term whose
+    slot in certified (odd v at v >> 1) holds its steps to 1, as
+    check_cycle_freedom argues.
     """
     cols: Dict[int, int] = {}  # connection point -> index of the term in that column
     values = set()
     cur = seed
     for i, (c, nxt) in enumerate(walk(seed, max_steps + 1)):
         if nxt in cols:
-            return {"column": (c.a, c.q), "first_index": cols[nxt], "index": i}
+            return {"column": (c.a, c.q), "first_index": cols[nxt], "index": i}, -1
         cols[nxt] = i
         if cur in values:
-            return {"value": cur, "problem": "value repeats"}
+            return {"value": cur, "problem": "value repeats"}, -1
         values.add(cur)
         if i >= max_steps:
             break
+        slot = nxt >> 1
+        if slot < len(certified) and certified[slot] >= 0:
+            steps = i + 1 + certified[slot]
+            if steps <= max_steps:
+                return None, steps
+            break  # over budget, and cur (term i < max_steps) is not 1
         cur = nxt
-    # the walk emits 1 only from the root column (1, 0), so a final 1 shares
-    # that column with its predecessor alone: the forced final pair
-    return None if cur == 1 else {"problem": "budget exhausted, cannot certify"}
+    # every 1 after term 0 is certified in slot 0, so cur is 1 here only for
+    # seed 1 at term 0; the walk emits 1 only from the root column (1, 0), so
+    # a final 1 shares that column with its predecessor alone: the forced
+    # final pair
+    if cur == 1:
+        return None, 0
+    return {"problem": "budget exhausted, cannot certify"}, -1
 
 
 def check_even_identity(bound: int = 10**6) -> PropertyCheck:

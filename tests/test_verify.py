@@ -90,6 +90,82 @@ def test_check_cycle_freedom_reports_a_cycling_walk(monkeypatch):
     }]
 
 
+def plain_cycle_freedom(bound, max_steps):
+    """Reference for T2.15: every odd seed's column walk checked on its own,
+    terms 0..max_steps, through verify.walk so that a patched walk reaches
+    it. Returns what check_cycle_freedom(bound, max_steps).as_dict() holds."""
+
+    def first_revisit(seed):
+        cols, values, cur = {}, set(), seed
+        for i, (c, nxt) in enumerate(verify.walk(seed, max_steps + 1)):
+            if nxt in cols:
+                return {"column": (c.a, c.q), "first_index": cols[nxt], "index": i}
+            cols[nxt] = i
+            if cur in values:
+                return {"value": cur, "problem": "value repeats"}
+            values.add(cur)
+            if i >= max_steps:
+                break
+            cur = nxt
+        return None if cur == 1 else {"problem": "budget exhausted, cannot certify"}
+
+    counterexamples, seeds = [], 0
+    for seed in range(1, bound + 1, 2):
+        seeds += 1
+        found = first_revisit(seed)
+        if found is not None:
+            counterexamples.append({"seed": seed, **found,
+                                    "repro": f"syrtree seq {seed} --kind syr"})
+            if len(counterexamples) == verify.MAX_COUNTEREXAMPLES:
+                break
+    return {"id": "T2.15", "bound": f"odd seeds<={bound}", "passed": not counterexamples,
+            "counterexamples": counterexamples, "details": {"seeds_checked": seeds}}
+
+
+CYCLE_FREEDOM_BUDGETS = (0, 1, 2, 3, 5, 7, 12, 20, 40, 100, 10**5)
+
+
+@pytest.mark.parametrize("max_steps", CYCLE_FREEDOM_BUDGETS)
+def test_cycle_freedom_equals_plain_walks(max_steps):
+    for bound in (1, 2, 3, 5, 9, 27, 99, 200, 999, 3001):
+        assert check_cycle_freedom(bound, max_steps).as_dict() == \
+            plain_cycle_freedom(bound, max_steps), bound
+
+
+def test_cycle_freedom_above_the_memo_cap_equals_plain_walks(monkeypatch):
+    # seeds above MEMO_MAX certify nothing, and walks stop only at seeds below it
+    monkeypatch.setattr(verify, "MEMO_MAX", 64)
+    for max_steps in CYCLE_FREEDOM_BUDGETS:
+        assert check_cycle_freedom(999, max_steps).as_dict() == \
+            plain_cycle_freedom(999, max_steps), max_steps
+
+
+def test_cycle_freedom_walks_through_a_failed_seed(monkeypatch):
+    # seed 93 steps to 35, whose patched walk cycles: 35 certifies nothing,
+    # so 93 walks on through the real 35 -> 53 -> 5 -> 1 and needs 4 steps;
+    # a higher counterexample cap lets every seed's outcome show
+    monkeypatch.setattr(verify, "walk", cycling_walk)
+    monkeypatch.setattr(verify, "MAX_COUNTEREXAMPLES", 100)
+    assert next(iter(walk(93, 1)))[1] == 35
+    for max_steps in CYCLE_FREEDOM_BUDGETS:
+        assert check_cycle_freedom(99, max_steps).as_dict() == \
+            plain_cycle_freedom(99, max_steps), max_steps
+    assert [ce["seed"] for ce in check_cycle_freedom(99).counterexamples] == [35]
+
+
+def test_cycle_freedom_memo_does_not_grow_with_bound():
+    # one 8-byte slot per odd seed up to MEMO_MAX: 16 MiB, not the 64 MiB
+    # of every odd seed up to 2**24; at budget 0 the scan stops at seed 21
+    tracemalloc.start()
+    try:
+        c = check_cycle_freedom(2**24, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert c.details["seeds_checked"] == 11
+    assert peak < 24 * 2**20
+
+
 def test_check_even_identity_passes():
     c = check_even_identity(10**5)
     assert c.passed
@@ -226,6 +302,19 @@ def test_jump_table_matches_plain_steps():
             end, plain_steps, values = terras_block(size * a + b)
             assert (p3[b] * a + d[b], steps[b]) == (end, plain_steps), (a, b)
             assert max(values) <= ua[b] * a + ub[b], (a, b)
+
+
+def test_sweep_report_keeps_the_earlier_shard_on_ties():
+    # hand-built shards of [3, 6], tied on both records: the earlier,
+    # smaller seed wins each
+    shards = [
+        {"decided": 2, "undecided": 0, "best_steps": (7, 3), "best_exc": (16, 3),
+         "undecided_seeds": [], "elapsed": 0.0},
+        {"decided": 2, "undecided": 0, "best_steps": (7, 5), "best_exc": (16, 5),
+         "undecided_seeds": [], "elapsed": 0.0},
+    ]
+    r = verify._sweep_report(3, 6, 100, shards)
+    assert (r.max_stopping_time, r.max_excursion) == ((7, 3), (16, 3))
 
 
 def test_sweep_memo_does_not_grow_with_hi():
