@@ -11,12 +11,15 @@ Nothing is materialized: entries come from closed forms,
     entry(5, p, q) = ((6q+5) * 4**(p+1) - 2) / 6
 
 and the inverse lookup ``locate`` reduces by (m-1)/4 while m = 5 (mod 8),
-which is O(log n) and allocation-free.
+at most 8 times; a cell deeper than that is read off 3n+1 = odd * 2^d in
+O(1) big-int operations. The public ``entry`` and ``locate`` check their
+arguments and then call their cores, ``_entry`` and ``_locate``; loops that
+build their own valid cells or odd terms call the cores directly.
 """
 
 from typing import Iterator, NamedTuple, Optional
 
-from .arith import _require_odd, lift
+from .arith import _require_odd
 
 
 class Coord(NamedTuple):
@@ -27,13 +30,24 @@ class Coord(NamedTuple):
     q: int
 
 
+# builds a Coord from a 3-tuple without NamedTuple's Python-level __new__
+_coord = tuple.__new__
+
+
 def entry(a: int, p: int, q: int) -> int:
     """Value of the matrix cell (a, p, q): the row-0 value lifted p times."""
     if a not in (1, 5):
         raise ValueError(f"branch must be 1 or 5, got {a}")
     if p < 0 or q < 0:
         raise ValueError("p and q must be >= 0")
-    return lift(8 * q + 1 if a == 1 else 4 * q + 3, p)
+    return _entry(a, p, q)
+
+
+def _entry(a: int, p: int, q: int) -> int:
+    """entry without the argument checks: arith.lift on the row-0 value."""
+    num = (3 * (8 * q + 1 if a == 1 else 4 * q + 3) + 1) * (1 << (2 * p)) - 1
+    assert num % 3 == 0
+    return num // 3
 
 
 def row(a: int, p: int) -> Iterator[int]:
@@ -57,13 +71,28 @@ def locate(n: int) -> Coord:
     entry(*locate(n)) == n for every odd n >= 1.
     """
     _require_odd(n)
+    return _locate(n)
+
+
+def _locate(n: int) -> Coord:
+    """locate without the argument check, for a positive odd int n.
+
+    After 8 reductions the cell is read off 3n+1 instead, which entry's closed
+    forms make (6q+1) * 2^(2p+2) in branch 1 and (6q+5) * 2^(2p+1) in
+    branch 5.
+    """
     m, p = n, 0
     while m & 7 == 5:
         m = (m - 1) >> 2
         p += 1
+        if p == 8:
+            t = 3 * n + 1
+            d = (t & -t).bit_length() - 1
+            a = 5 if d & 1 else 1
+            return _coord(Coord, (a, (d - 1) >> 1, ((t >> d) - a) // 6))
     if m & 7 == 1:
-        return Coord(1, p, (m - 1) >> 3)
-    return Coord(5, p, (m - 3) >> 2)
+        return _coord(Coord, (1, p, (m - 1) >> 3))
+    return _coord(Coord, (5, p, (m - 3) >> 2))
 
 
 def residue6(n: int) -> int:

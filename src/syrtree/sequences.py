@@ -20,7 +20,9 @@ from typing import Iterator, List, NamedTuple, Optional, Tuple
 
 from .arith import DEFAULT_MAX_STEPS, _require_odd, v2
 from .arith import syr as _syr
-from .matrices import Coord, locate
+from .matrices import Coord
+# the core under the name perfbench/spans.py wraps; walk checks its seed once
+from .matrices import _locate as locate
 
 
 @dataclass

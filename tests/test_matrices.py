@@ -44,6 +44,12 @@ def test_locate_rejects_even():
         locate(6)
 
 
+@pytest.mark.parametrize("n", [0, -3, 4, 3.0])
+def test_locate_checks_its_argument_before_its_core(n):
+    with pytest.raises(ValueError):
+        locate(n)
+
+
 def test_locate_entry_round_trip():
     for n in range(1, 100001, 2):
         assert entry(*locate(n)) == n

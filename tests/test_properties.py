@@ -8,8 +8,10 @@ The examples are derandomized so that the suite stays reproducible.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pytest
+
 from syrtree.arith import syr
-from syrtree.matrices import child_column, entry, locate
+from syrtree.matrices import Coord, _entry, _locate, child_column, entry, locate
 from syrtree.sequences import collatz_expand, syr_seq_model, syr_seq_oracle
 
 MAX_BITS = 10**4
@@ -27,6 +29,40 @@ checked = settings(max_examples=100, deadline=None, derandomize=True, database=N
 @given(odd_seeds)
 def test_entry_of_locate_is_n(n):
     assert entry(*locate(n)) == n
+
+
+def plain_locate(n):
+    """The reduction loop alone, without locate's closed form for deep rows."""
+    m, p = n, 0
+    while m & 7 == 5:
+        m = (m - 1) >> 2
+        p += 1
+    if m & 7 == 1:
+        return Coord(1, p, (m - 1) >> 3)
+    return Coord(5, p, (m - 3) >> 2)
+
+
+@checked
+@given(odd_seeds)
+def test_locate_equals_the_reduction_loop(n):
+    assert locate(n) == plain_locate(n)
+
+
+@pytest.mark.parametrize("p", [7, 8, 9, 500])
+def test_locate_equals_the_reduction_loop_on_deep_rows(p):
+    for a in (1, 5):
+        for q in (0, 1, 2, 3, 4, 5, 12345, 2**70 + 3):
+            n = entry(a, p, q)
+            assert locate(n) == plain_locate(n) == (a, p, q)
+
+
+@checked
+@given(odd_seeds)
+def test_cores_equal_the_checked_functions(n):
+    c = _locate(n)
+    assert type(c) is Coord
+    assert c == locate(n)
+    assert _entry(*c) == entry(*c)
 
 
 @checked

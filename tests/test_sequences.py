@@ -69,6 +69,14 @@ def test_walk_ends():
     assert [t for _c, t in walk(35)] == [53, 5, 1]
 
 
+def test_walk_and_model_check_the_seed():
+    # the walk's steps call the unchecked locate core, so the seed is checked once
+    with pytest.raises(ValueError):
+        list(walk(2))
+    with pytest.raises(ValueError):
+        syr_seq_model(4)
+
+
 def test_walk_projections_equal_oracle_on_huge_inputs():
     rnd = random.Random(4000)
     seeds = [rnd.getrandbits(4000) | (1 << 3999) | 1, entry(5, 1000, 12345)]

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from syrtree import verify
 from syrtree.cli import main
 from syrtree.matrices import Coord, entry
-from syrtree.sequences import walk
+from syrtree.sequences import col_seq, walk
 from syrtree.verify import (
     MAX_COUNTEREXAMPLES,
     SUITE_IDS,
@@ -171,6 +171,47 @@ def test_check_even_identity_passes():
     assert c.passed
     assert c.details["evens_checked"] == 50000
     assert c.details["sequence_prefixes_checked"] > 8000
+
+
+def plain_even_identity(bound):
+    """Reference for L3.3: the check's loop with each halving prefix read off
+    the full col_seq(m), through verify.v2 so that a patched v2 reaches it.
+    Returns what check_even_identity(bound).as_dict() holds."""
+    counterexamples, evens, prefixes = [], 0, 0
+
+    def add(**kw):
+        counterexamples.append(kw)
+        return len(counterexamples) < verify.MAX_COUNTEREXAMPLES
+
+    for m in range(2, bound + 1, 2):
+        evens += 1
+        r = verify.v2(m)
+        k, literal = m, 0
+        while k & 1 == 0:
+            k >>= 1
+            literal += 1
+        if r != literal or k & 1 == 0 or (k << r) != m or r < 1:
+            if not add(m=m, r=r, literal=literal, odd_part=k):
+                break
+        if m <= (1 << 14) or m % 4096 == 0:
+            terms = col_seq(m).terms
+            prefixes += 1
+            if terms[r] != k or any(t & 1 for t in terms[:r]):
+                if not add(m=m, r=r, problem="sequence prefix",
+                           repro=f"syrtree seq {m} --kind col"):
+                    break
+    return {"id": "L3.3", "bound": f"even m<={bound}", "passed": not counterexamples,
+            "counterexamples": counterexamples,
+            "details": {"evens_checked": evens, "sequence_prefixes_checked": prefixes}}
+
+
+@pytest.mark.parametrize("patch_v2", [False, True])
+def test_even_identity_equals_full_sequence_prefixes(patch_v2, monkeypatch):
+    # the check builds only the first r plain steps of each sequence
+    if patch_v2:
+        monkeypatch.setattr(verify, "v2", lambda m: 1)
+    for bound in (2, 3, 100, 2**14, 2**14 + 3 * 4096):
+        assert check_even_identity(bound).as_dict() == plain_even_identity(bound), bound
 
 
 def test_table_a_rows():
