@@ -5,10 +5,9 @@ Seeds are odd integers of 1 to 10^4 bits, plus the worst-case row entries
 The examples are derandomized so that the suite stays reproducible.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-
-import pytest
 
 from syrtree.arith import syr
 from syrtree.matrices import Coord, _entry, _locate, child_column, entry, locate
