@@ -178,8 +178,12 @@ def check_coverage(bound: int = 10**6) -> PropertyCheck:
     """T2.9: every odd n <= bound sits in exactly one cell, and the cells
     with row p >= 1 are exactly the odds = 5 (mod 8).
 
-    Route one enumerates all cells with value <= bound and marks them;
-    route two walks the odds and round-trips locate/entry.
+    One pass enumerates the cells with value <= bound by running addition
+    along each row and marks them; each cell (a, p, q) holding e must give
+    locate(e) == (a, p, q), entry(a, p, q) == e and (p >= 1) == (e % 8 == 5).
+    A scan of the marks then finds any odd that no cell hit. Counterexamples
+    come in enumeration order, and a broken locate shows only as "locate
+    disagrees": the round trip and the slice read the enumerated cell.
     """
     t0 = time.perf_counter()
     ce = _Collector()
@@ -199,20 +203,19 @@ def check_coverage(bound: int = 10**6) -> PropertyCheck:
                 if locate(e) != (a, p, q):
                     ce.add(n=e, problem="locate disagrees", cell=(a, p, q),
                            located=tuple(locate(e)), repro=f"syrtree locate {e}")
+                if entry(a, p, q) != e:
+                    ce.add(n=e, problem="round-trip", cell=(a, p, q))
+                if (p >= 1) != (e % 8 == 5):
+                    ce.add(n=e, problem="row>=1 slice", p=p)
             p += 1
-    odds = 0
-    for n in range(1, bound + 1, 2):
-        odds += 1
-        if not seen[(n - 1) >> 1]:
-            if not ce.add(n=n, problem="no cell", repro=f"syrtree locate {n}"):
-                break
-        a, p, q = locate(n)
-        if entry(a, p, q) != n:
-            if not ce.add(n=n, problem="round-trip", cell=(a, p, q)):
-                break
-        if (p >= 1) != (n % 8 == 5):
-            if not ce.add(n=n, problem="row>=1 slice", p=p):
-                break
+    odds = (bound + 1) >> 1
+    idx = seen.find(0, 0, odds)
+    while idx >= 0:
+        n = 2 * idx + 1
+        if not ce.add(n=n, problem="no cell", repro=f"syrtree locate {n}"):
+            odds = idx + 1
+            break
+        idx = seen.find(0, idx + 1, odds)
     return ce.result("T2.9", f"n<={bound}",
                      {"cells_enumerated": cells, "odds_checked": odds}, t0)
 
@@ -510,11 +513,14 @@ def _sweep_chunk(args) -> dict:
     trajectory maximum is at most the record once it is counted, so no
     value past a memo hit, nor in a skipped block, can exceed the record:
     a seed beats the record exactly when the maximum of its own walk does.
-    A walk that ends over budget does not raise the record, so it may pass
-    values above it; were its path memoized, a later seed would reach such
-    a value past a memo hit without seeing it. Seeds ascend, so a strict >
-    keeps the smaller seed on a tie. Outcomes are identical to walking
-    every seed on its own, and a walk stops once it has spent its budget.
+    So a seed whose odd part m = seed / 2^z has a memo slot k needs no
+    walk: it takes z + k steps, and its own walk, z halvings, peaks at the
+    seed. A walk that ends over budget does not raise the record, so it may
+    pass values above it; were its path memoized, a later seed would reach
+    such a value past a memo hit without seeing it. Seeds ascend, so a
+    strict > keeps the smaller seed on a tie (a test with MEMO_MAX = 1 pins
+    it). Outcomes are identical to walking every seed on its own, and a
+    walk stops once it has spent its budget.
     """
     t0 = time.perf_counter()
     lo, hi, budget = args
@@ -535,13 +541,14 @@ def _sweep_chunk(args) -> dict:
         m = seed >> z
         s = z
         mx = seed
-        path = []  # (odd value in the window, steps to it)
-        while True:
+        k = steps_c[m >> 1] if m <= cap else -1
+        path = [] if k < 0 else ()  # (odd value in the window, steps to it)
+        while k < 0:
             if m <= cap:
                 k = steps_c[m >> 1]
                 if k >= 0:
                     break
-                path += (m, s)
+                path.append((m, s))
             if s >= budget:
                 k = -1
                 break
@@ -562,8 +569,8 @@ def _sweep_chunk(args) -> dict:
             m = t >> (z - 1)
         if k >= 0 and s + k <= budget:
             s += k
-            for j in range(0, len(path), 2):
-                steps_c[path[j] >> 1] = s - path[j + 1]
+            for v, t in path:
+                steps_c[v >> 1] = s - t
             decided += 1
             if best_steps is None or s > best_steps[0]:
                 best_steps = (s, seed)

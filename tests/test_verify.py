@@ -44,6 +44,132 @@ def test_check_coverage_passes():
     assert c.details["cells_enumerated"] == c.details["odds_checked"] == 50000
 
 
+def plain_coverage(bound):
+    """Reference for T2.9: the two-pass check, which enumerates the cells
+    and then locates every odd n again to round-trip it through entry.
+    Reads verify.locate, verify.entry, verify.row and
+    verify.MAX_COUNTEREXAMPLES at call time, so patches reach it."""
+    counterexamples = []
+
+    def add(**kw):
+        if len(counterexamples) < verify.MAX_COUNTEREXAMPLES:
+            counterexamples.append(kw)
+        return len(counterexamples) < verify.MAX_COUNTEREXAMPLES
+
+    seen = bytearray((bound >> 1) + 1)
+    cells = 0
+    for a in (1, 5):
+        p = 0
+        while verify.entry(a, p, 0) <= bound:
+            for q, e in enumerate(verify.row(a, p)):
+                if e > bound:
+                    break
+                cells += 1
+                if seen[(e - 1) >> 1]:
+                    add(n=e, problem="hit by two cells", cell=(a, p, q))
+                seen[(e - 1) >> 1] = 1
+                if verify.locate(e) != (a, p, q):
+                    add(n=e, problem="locate disagrees", cell=(a, p, q),
+                        located=tuple(verify.locate(e)), repro=f"syrtree locate {e}")
+            p += 1
+    odds = 0
+    for n in range(1, bound + 1, 2):
+        odds += 1
+        if not seen[(n - 1) >> 1]:
+            if not add(n=n, problem="no cell", repro=f"syrtree locate {n}"):
+                break
+        a, p, q = verify.locate(n)
+        if verify.entry(a, p, q) != n:
+            if not add(n=n, problem="round-trip", cell=(a, p, q)):
+                break
+        if (p >= 1) != (n % 8 == 5):
+            if not add(n=n, problem="row>=1 slice", p=p):
+                break
+    return verify.PropertyCheck("T2.9", f"n<={bound}", not counterexamples,
+                                counterexamples,
+                                {"cells_enumerated": cells, "odds_checked": odds})
+
+
+COVERAGE_BOUNDS = (1, 2, 3, 5, 13, 21, 85, 999, 1000, 3001, 10**4 + 1)
+
+
+def test_coverage_equals_plain_coverage():
+    for bound in COVERAGE_BOUNDS:
+        assert check_coverage(bound).as_dict() == plain_coverage(bound).as_dict(), bound
+
+
+def shifted_locate(shift_p, shift_q, where):
+    """The locate core, with its row or column moved by one where where(n)."""
+    real = verify.locate
+
+    def fake(n):
+        a, p, q = real(n)
+        return Coord(a, p + shift_p, q + shift_q) if where(n) else Coord(a, p, q)
+
+    return fake
+
+
+def bumped_entry(by, where):
+    """The entry core, plus by where where(p, q)."""
+    real = verify.entry
+    return lambda a, p, q: real(a, p, q) + (by if where(p, q) else 0)
+
+
+def swapped_rows():
+    """Rows 0 and 1 of branch 1 trade places in row, entry and locate alike:
+    every cell still round-trips, but each one breaks the row>=1 slice."""
+    real_row, real_entry, real_locate = verify.row, verify.entry, verify.locate
+
+    def swap(a, p):
+        return 1 - p if a == 1 and p < 2 else p
+
+    def fake_locate(n):
+        a, p, q = real_locate(n)
+        return Coord(a, swap(a, p), q)
+
+    return {"row": lambda a, p: real_row(a, swap(a, p)),
+            "entry": lambda a, p, q: real_entry(a, swap(a, p), q),
+            "locate": fake_locate}
+
+
+@pytest.mark.parametrize("patches", [
+    lambda: {"locate": shifted_locate(0, 1, lambda n: n == 999)},
+    lambda: {"locate": shifted_locate(1, 0, lambda n: n % 97 == 5)},
+    lambda: {"entry": bumped_entry(1, lambda p, q: q == 77)},
+    lambda: {"entry": bumped_entry(2, lambda p, q: (p, q) == (2, 0))},
+    swapped_rows,
+], ids=["locate-q+1", "locate-p+1", "entry+1", "entry+2", "swapped-rows"])
+def test_coverage_reports_what_plain_coverage_reports(patches, monkeypatch):
+    # one pass reports a cell's faults in enumeration order and a broken
+    # locate as "locate disagrees" alone, so only the verdict, the details
+    # and the failing n are compared, with every counterexample kept
+    monkeypatch.setattr(verify, "MAX_COUNTEREXAMPLES", 10**6)
+    for name, fake in patches().items():
+        monkeypatch.setattr(verify, name, fake)
+    got, want = check_coverage(3001), plain_coverage(3001)
+    assert not want.passed
+    assert (got.passed, got.details) == (want.passed, want.details)
+    assert {c["n"] for c in got.counterexamples} == {c["n"] for c in want.counterexamples}
+
+
+def test_coverage_scan_stops_at_the_counterexample_cap(monkeypatch):
+    # row (5, 0) cut short after 200 cells leaves 4q+3 for q >= 200 to the
+    # scan of the marks, the only fault: the report, details included, is the
+    # two-pass one, which stops at the tenth odd with no cell
+    real_row = verify.row
+
+    def short_row(a, p):
+        cells = real_row(a, p)
+        return itertools.islice(cells, 200) if (a, p) == (5, 0) else cells
+
+    monkeypatch.setattr(verify, "row", short_row)
+    for bound in (999, 3001):
+        got = check_coverage(bound)
+        assert got.as_dict() == plain_coverage(bound).as_dict(), bound
+        assert [c["n"] for c in got.counterexamples] == list(range(803, 840, 4))
+        assert got.details["odds_checked"] == (839 + 1) // 2
+
+
 def test_check_closed_forms_passes():
     c = check_closed_forms(6, 32)
     assert c.passed
@@ -295,6 +421,21 @@ def sweep_outcome(lo, hi, budget):
     r = sweep_convergence(lo, hi, budget=budget)
     return (r.decided, r.undecided, r.max_stopping_time, r.max_excursion,
             r.undecided_seeds)
+
+
+def test_sweep_memo_hit_keeps_the_budget_inclusive():
+    # seed 14's odd part 7 is memoized with 16 steps, so 14 takes 17: a memo
+    # hit that is decided without a walk is still over a budget of 16
+    assert [14 in sweep_outcome(7, 14, budget)[4] for budget in (16, 17)] == [True, False]
+    for budget in (16, 17):
+        assert sweep_outcome(7, 14, budget) == plain_sweep(7, 14, budget)
+
+
+def test_sweep_excursion_tie_keeps_the_earlier_seed(monkeypatch):
+    # with the memo window at 1, seed 5 walks through 16 itself rather than
+    # hitting a slot that seed 3 filled, and so ties 3's record of 16
+    monkeypatch.setattr(verify, "MEMO_MAX", 1)
+    assert verify._sweep_chunk((3, 5, 100))["best_exc"] == (16, 3)
 
 
 def test_sweep_memoization_does_not_change_outcomes():
