@@ -90,16 +90,13 @@ def plain_coverage(bound):
                                 {"cells_enumerated": cells, "odds_checked": odds})
 
 
-COVERAGE_BOUNDS = (1, 2, 3, 5, 13, 21, 85, 999, 1000, 3001, 10**4 + 1)
-
-
 def test_coverage_equals_plain_coverage():
-    for bound in COVERAGE_BOUNDS:
+    for bound in (1, 2, 3, 5, 13, 21, 85, 999, 1000, 3001, 10**4 + 1):
         assert check_coverage(bound).as_dict() == plain_coverage(bound).as_dict(), bound
 
 
 def shifted_locate(shift_p, shift_q, where):
-    """The locate core, with its row or column moved by one where where(n)."""
+    """The locate core, with its cell moved by (shift_p, shift_q) where where(n)."""
     real = verify.locate
 
     def fake(n):
@@ -425,7 +422,7 @@ def sweep_outcome(lo, hi, budget):
 
 def test_sweep_memo_hit_keeps_the_budget_inclusive():
     # seed 14's odd part 7 is memoized with 16 steps, so 14 takes 17: a memo
-    # hit that is decided without a walk is still over a budget of 16
+    # hit settled without a walk is still over a budget of 16
     assert [14 in sweep_outcome(7, 14, budget)[4] for budget in (16, 17)] == [True, False]
     for budget in (16, 17):
         assert sweep_outcome(7, 14, budget) == plain_sweep(7, 14, budget)
