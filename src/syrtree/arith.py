@@ -22,6 +22,11 @@ def _require_odd(n):
 def v2(n: int) -> int:
     """2-adic valuation: the largest d with 2**d dividing n."""
     _require_positive(n)
+    return _v2(n)
+
+
+def _v2(n: int) -> int:
+    """v2 without the argument check, for callers that pass n >= 1."""
     return (n & -n).bit_length() - 1
 
 

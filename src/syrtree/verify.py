@@ -27,9 +27,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Collection, Dict, List, Optional, Tuple
 
-from .arith import syr, syr_class, v2
+from .arith import syr, syr_class
 from .matrices import child_column, iter_connections, row
 # the cores under the names perfbench/spans.py wraps; the checks build valid args
+from .arith import _v2 as v2
 from .matrices import _entry as entry, _locate as locate
 from .sequences import col_seq, walk
 
@@ -682,21 +683,28 @@ def run_suite(
 ) -> "Tuple[List[PropertyCheck], Optional[SweepReport]]":
     """Run the checks and the sweep named in ids on one process pool.
 
-    Each check is one task and the sweep of [1, bound] adds its shards, cut
-    as sweep_convergence cuts them; at most _pool_size(workers, tasks)
-    processes run them all. Returns the checks in the order of ids and the
-    merged sweep (None when ids has no "sweep"): the same reports as
-    run_check and sweep_convergence give one by one. A check's elapsed is
-    measured in the process that ran it.
+    Each of the C checks is one task. The sweep of [1, bound] is cut only
+    into the processes the checks leave idle, max(1, P - C) shards with
+    P = _pool_size(workers, C + seeds): a shard above the first starts with
+    an empty memo and walks further. With C = 0 this is sweep_convergence's
+    cut. Tasks go in longest first (Graham's list rule): the shards, then
+    the checks by descending default bound, ties in report order. At most
+    _pool_size(workers, tasks) processes run them. Returns the checks in
+    the order of ids and the merged sweep (None without "sweep"): the same
+    reports as run_check and sweep_convergence give one by one. A check's
+    elapsed is measured in the process that ran it.
     """
-    tasks = [(cid, bound) for cid in ids if cid != "sweep"]
-    n_checks = len(tasks)
+    checks = [cid for cid in ids if cid != "sweep"]
+    shards = []
     if "sweep" in ids:
         hi = bound if bound is not None else SUITE_DEFAULT_BOUNDS["sweep"]
-        tasks += _sweep_shards(1, hi, budget, workers)
-    results = _run_tasks(tasks, workers)
-    sweep = _sweep_report(1, hi, budget, results[n_checks:]) if "sweep" in ids else None
-    return results[:n_checks], sweep
+        idle = _pool_size(workers, len(checks) + hi) - len(checks)
+        shards = _sweep_shards(1, hi, budget, max(1, idle))
+    order = sorted(range(len(checks)), key=lambda i: -SUITE_DEFAULT_BOUNDS.get(checks[i], 0))
+    results = _run_tasks(shards + [(checks[i], bound) for i in order], workers)
+    done = dict(zip(order, results[len(shards):]))
+    sweep = _sweep_report(1, hi, budget, results[:len(shards)]) if shards else None
+    return [done[i] for i in range(len(checks))], sweep
 
 
 # check ID -> (check run at a bound, default bound), in report order. The

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from syrtree.arith import syr
+from syrtree.arith import _v2, syr, v2
 from syrtree.matrices import Coord, _entry, _locate, child_column, entry, locate
 from syrtree.sequences import collatz_expand, syr_seq_model, syr_seq_oracle
 
@@ -101,3 +101,10 @@ def test_child_column_equals_enumeration(child_a, parent_a, x, q):
         e = 4 * e + 1
     expected = (e - child_a) // 6 if e % 6 == child_a else None
     assert child_column(child_a, parent_a, x, q) == expected
+
+
+@checked
+@given(st.integers(1, 2**3000), st.integers(0, 1000))
+def test_v2_core_equals_the_checked_v2(m, k):
+    n = m << k  # at most 2^4000, with valuations up to k + v2(m)
+    assert _v2(n) == v2(n) >= k

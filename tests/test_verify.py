@@ -574,7 +574,7 @@ def test_suite_pool_size_is_bounded(pool_sizes, monkeypatch, capsys):
     assert pool_sizes == []  # one worker starts no pool
     assert serial[0] == [run_check(cid, 200).as_dict() for cid in SUITE_IDS[:-1]]
     assert serial[1] == sweep_convergence(1, 200).as_dict()
-    # 6 checks, then min(workers, 200 seeds, 4 CPUs) sweep shards
+    # one sweep task, as the 6 checks fill min(workers, 6 + 200 tasks, 4 CPUs), then the checks
     for workers in (2, 3, 500):
         assert suite_dicts(run_suite(SUITE_IDS, 200, workers=workers)) == serial
     assert suite_dicts(run_suite(["L2.1", "T2.11"], 200, workers=500)) == (serial[0][0:3:2], None)
@@ -595,6 +595,42 @@ def test_suite_pool_size_is_bounded(pool_sizes, monkeypatch, capsys):
     assert [c["id"] for c in checks if not c["passed"]] == ["T2.15", "L3.3"]
     assert checks[4]["counterexamples"][0]["seed"] == 35
     assert checks[5]["counterexamples"][0]["m"] == 4
+
+
+@pytest.fixture
+def pool_tasks(pool_sizes, monkeypatch):
+    """The task list that each stand-in pool of pool_sizes is handed."""
+    tasks = []
+
+    class RecordingPool(verify.ProcessPoolExecutor):
+        def map(self, fn, items):
+            tasks.append(list(items))
+            return super().map(fn, tasks[-1])
+
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", RecordingPool)
+    return tasks
+
+
+def test_suite_submits_the_warm_sweep_then_checks_longest_first(pool_tasks):
+    serial = suite_dicts(run_suite(SUITE_IDS, 200))
+    assert suite_dicts(run_suite(SUITE_IDS, 200, workers=2)) == serial
+    by_default_bound = ["T2.9", "L3.3", "T2.15", "L2.1", "T2.12", "T2.11"]
+    assert pool_tasks == [[("sweep", (1, 200, 10**5))] + [(cid, 200) for cid in by_default_bound]]
+
+
+def test_suite_cuts_the_sweep_into_the_processes_checks_leave_idle(pool_tasks, monkeypatch):
+    serial = suite_dicts(run_suite(SUITE_IDS, 200))
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 10)
+    monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: set(range(10)))
+    assert suite_dicts(run_suite(SUITE_IDS, 200, workers=10)) == serial
+    assert [task for task in pool_tasks[0] if task[0] == "sweep"] == [
+        ("sweep", (lo, lo + 49, 10**5)) for lo in (1, 51, 101, 151)]
+    assert len(pool_tasks[0]) == 10
+
+    # with no checks the sweep is cut as sweep_convergence cuts it
+    assert suite_dicts(run_suite(("sweep",), 200, workers=3)) == ([], serial[1])
+    assert pool_tasks[1] == [("sweep", (1, 67, 10**5)), ("sweep", (68, 134, 10**5)),
+                             ("sweep", (135, 200, 10**5))]
 
 
 def test_sweep_rejects_bad_range():
