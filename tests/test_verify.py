@@ -574,7 +574,7 @@ def test_suite_pool_size_is_bounded(pool_sizes, monkeypatch, capsys):
     assert pool_sizes == []  # one worker starts no pool
     assert serial[0] == [run_check(cid, 200).as_dict() for cid in SUITE_IDS[:-1]]
     assert serial[1] == sweep_convergence(1, 200).as_dict()
-    # one sweep task, as the 6 checks fill min(workers, 6 + 200 tasks, 4 CPUs), then the checks
+    # the sweep as max(1, min(workers, 6 checks + 200 seeds, 4 CPUs) - 6) = 1 task, then 6 checks
     for workers in (2, 3, 500):
         assert suite_dicts(run_suite(SUITE_IDS, 200, workers=workers)) == serial
     assert suite_dicts(run_suite(["L2.1", "T2.11"], 200, workers=500)) == (serial[0][0:3:2], None)
@@ -623,8 +623,7 @@ def test_suite_cuts_the_sweep_into_the_processes_checks_leave_idle(pool_tasks, m
     monkeypatch.setattr(verify.os, "cpu_count", lambda: 10)
     monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: set(range(10)))
     assert suite_dicts(run_suite(SUITE_IDS, 200, workers=10)) == serial
-    assert [task for task in pool_tasks[0] if task[0] == "sweep"] == [
-        ("sweep", (lo, lo + 49, 10**5)) for lo in (1, 51, 101, 151)]
+    assert pool_tasks[0][:4] == [("sweep", (lo, lo + 49, 10**5)) for lo in (1, 51, 101, 151)]
     assert len(pool_tasks[0]) == 10
 
     # with no checks the sweep is cut as sweep_convergence cuts it
