@@ -3,7 +3,7 @@
 Text output is human-first; json, csv and dot outputs are deterministic
 byte for byte for fixed flags (timing and worker count never leak into
 machine formats). Exit codes: 0 pass/success, 1 check failure, 2 usage
-error, 3 undecided at budget (with --strict for seq).
+error or out of memory, 3 undecided at budget (with --strict for seq).
 """
 
 import argparse
@@ -139,7 +139,7 @@ def _cmd_seq(args) -> int:
     else:
         seq = col_seq(args.n, args.max_steps)
     if args.format == "text":
-        print(" ".join(str(t) for t in seq.terms))
+        print(" ".join(sequences.decimal_strings(seq.terms)))
         st = stats(seq)
         stop = "undecided" if st.stopping_time is None else st.stopping_time
         print(
@@ -259,6 +259,16 @@ def _cmd_table(args) -> int:
     return 0
 
 
+# the flags that bound each command's memory, named when it runs out
+MEMORY_FLAGS = {
+    "seq": "--max-steps",
+    "locate": "the seed",
+    "tree": "--levels or --max-value",
+    "verify": "--bound",
+    "table": "--rows",
+}
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     # the config file and the environment are input too: read them, like
@@ -281,9 +291,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         return handler(args)
+    except MemoryError:
+        pass  # reported below, once the frames that filled memory are freed
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)
+    print(f"{args.command}: out of memory; lower {MEMORY_FLAGS[args.command]}",
+          file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

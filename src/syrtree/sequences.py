@@ -12,10 +12,19 @@ read the same steps.
 by inserting the even intermediates, and ``col_seq`` handles arbitrary
 seeds: even seeds are halved down to their odd part first, then continue
 as the odd case.
+
+``to_json``, ``to_csv`` and the CLI print terms of any size exactly.
+``decimal_strings`` gives them the decimal form of every term in time
+linear in the total length: it converts the first term once and derives
+each later string from the one before, where ``str()`` would convert each
+term from binary in time quadratic in its length.
 """
 
+import decimal
 import json
+import sys
 from dataclasses import dataclass
+from decimal import Decimal
 from typing import Iterator, List, NamedTuple, Optional, Tuple
 
 from .arith import DEFAULT_MAX_STEPS, _require_odd, v2
@@ -140,23 +149,83 @@ def stats(s) -> SeqStats:
     return SeqStats(stop, max(terms), odd)
 
 
+# every operation in this context gives its exact result or raises
+_EXACT = decimal.Context(
+    prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+    traps=[decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow,
+           decimal.Inexact, decimal.Rounded])
+
+
+def decimal_strings(terms: List[int]) -> List[str]:
+    """The decimal strings of positive integer terms: list(map(str, terms)),
+    in time linear in their total length.
+
+    The first term is converted once. Each later term t is carried as a
+    Decimal derived from the previous term p's Decimal d by the relation
+    the ints themselves satisfy, tested exactly on the ints:
+    t == (3p+1)/2^z for some z >= 0 gives (d*3+1)//2^z, t == p/2 gives
+    d//2, and any other pair restarts from Decimal(t). Proof that each
+    string is str(t), by induction along the list: if d == p, the
+    operation applied to d is the one that maps p to t. Its quotient is an
+    integer, so integer division gives it whole, and the exact context
+    gives every result exactly or raises; so the new d == t. A restart is
+    exact outright. Every d is an integer with exponent 0, which prints as
+    its plain digits, and libmpdec does each operation and each str() in
+    time linear in the term's length.
+
+    Like str(), this raises ValueError when a term has more digits than a
+    nonzero sys.get_int_max_str_digits().
+    """
+    out = []
+    with decimal.localcontext(_EXACT):
+        p = d = None
+        for t in terms:
+            if p is None:
+                d = Decimal(t)
+            elif p & 1 == 0 and t << 1 == p:
+                d = d // 2
+            else:
+                m = 3 * p + 1
+                z = m.bit_length() - t.bit_length()
+                if z >= 0 and t << z == m:
+                    d = d * 3 + 1
+                    if z:
+                        d = d // (1 << z)
+                else:
+                    d = Decimal(t)
+            out.append(str(d))
+            p = t
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit and max(map(len, out), default=0) > limit:
+        raise ValueError(f"Exceeds the limit ({limit} digits) for integer string "
+                         "conversion; use sys.set_int_max_str_digits() to increase the limit")
+    return out
+
+
+def _separated(strs: List[str], sep: str) -> List[str]:
+    """strs with sep between each two, to be joined once with the rest."""
+    out = [sep] * (2 * len(strs) - 1)
+    out[::2] = strs
+    return out
+
+
 def to_json(s, include_terms: bool = True) -> str:
-    """One JSON line per sequence; key order is fixed for golden files."""
+    """One JSON line per sequence, as json.dumps writes it with sorted keys
+    and no spaces; the key order is fixed for golden files.
+
+    The terms are written by decimal_strings, and the line is joined once.
+    """
     st = stats(s)
-    doc = {
-        "kind": s.kind,
-        "seed": s.seed,
-        "steps": s.steps,
-        "truncated": s.truncated,
-        "stats": {
-            "stopping_time": st.stopping_time,
-            "max_term": st.max_term,
-            "odd_steps": st.odd_steps,
-        },
-    }
+    stop = "null" if st.stopping_time is None else str(st.stopping_time)
+    parts = ['{"kind":', json.dumps(s.kind), ',"seed":', str(s.seed),
+             ',"stats":{"max_term":', str(st.max_term), ',"odd_steps":', str(st.odd_steps),
+             ',"stopping_time":', stop, '},"steps":', str(s.steps)]
     if include_terms:
-        doc["terms"] = s.terms
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        parts.append(',"terms":[')
+        parts += _separated(decimal_strings(s.terms), ",")
+        parts.append("]")
+    parts += [',"truncated":', json.dumps(s.truncated), "}"]
+    return "".join(parts)
 
 
 CSV_FIELDS = ["seed", "stopping_time", "max_term", "terms"]
@@ -166,16 +235,18 @@ def to_csv(seqs, include_terms: bool = True) -> str:
     """CSV with one row per sequence: seed, stopping_time, max_term[, terms].
 
     Every field is digits, spaces or "undecided", none of which csv quotes,
-    so the rows are joined directly (csv.writer copies a multi-megabyte
-    terms field character by character).
+    so the document is joined directly, once (csv.writer copies a
+    multi-megabyte terms field character by character). The terms are
+    written by decimal_strings.
     """
     fields = CSV_FIELDS if include_terms else CSV_FIELDS[:-1]
-    lines = [",".join(fields)]
+    parts = [",".join(fields), "\n"]
     for s in seqs:
         st = stats(s)
-        stop = "undecided" if st.stopping_time is None else st.stopping_time
-        row = [str(s.seed), str(stop), str(st.max_term)]
+        stop = "undecided" if st.stopping_time is None else str(st.stopping_time)
+        parts += [str(s.seed), ",", stop, ",", str(st.max_term)]
         if include_terms:
-            row.append(" ".join(map(str, s.terms)))
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+            parts.append(",")
+            parts += _separated(decimal_strings(s.terms), " ")
+        parts.append("\n")
+    return "".join(parts)

@@ -1,12 +1,15 @@
 import decimal
 import json
+import os
 import random
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from syrtree.cli import main
-from syrtree.sequences import stats, syr_seq_oracle
+from syrtree.sequences import collatz_expand, stats, syr_seq_oracle
 
 
 def run(capsys, *argv):
@@ -64,6 +67,33 @@ def test_seq_prints_integers_past_the_str_digit_limit(capsys):
     assert doc["seed"] == n
     assert doc["stats"] == {"stopping_time": want.stopping_time,
                             "max_term": want.max_term, "odd_steps": want.odd_steps}
+
+
+@pytest.mark.parametrize("kind", ["col", "syr"])
+def test_seq_prints_the_terms_str_prints(capsys, kind):
+    # every format, from a reference built term by term with str() and json.dumps
+    n = random.Random(4000).getrandbits(4000) | (1 << 3999) | 1
+    seq = syr_seq_oracle(n)
+    if kind == "col":
+        seq = collatz_expand(seq)
+    st = stats(seq)
+    doc = {"kind": kind, "seed": n, "steps": seq.steps, "truncated": False,
+           "stats": {"stopping_time": st.stopping_time, "max_term": st.max_term,
+                     "odd_steps": st.odd_steps}}
+    head = f"{n},{st.stopping_time},{st.max_term}"
+    terms = " ".join(str(t) for t in seq.terms)
+    want = {
+        ("text", False): terms + "\n",
+        ("text", True): terms + "\n",  # --no-terms leaves the text format alone
+        ("json", True): json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n",
+        ("json", False): json.dumps(dict(doc, terms=seq.terms), sort_keys=True,
+                                    separators=(",", ":")) + "\n",
+        ("csv", True): "seed,stopping_time,max_term\n" + head + "\n",
+        ("csv", False): "seed,stopping_time,max_term,terms\n" + head + "," + terms + "\n",
+    }
+    for (fmt, no_terms), out in want.items():
+        argv = ["seq", hex(n), "--kind", kind, "--format", fmt] + ["--no-terms"] * no_terms
+        assert run(capsys, *argv)[:2] == (0, out)
 
 
 def test_seq_over_limit_decimal_is_a_short_error(capsys):
@@ -272,3 +302,32 @@ def test_usage_error_bad_format():
     with pytest.raises(SystemExit) as exc:
         main(["tree", "--format", "csv"])
     assert exc.value.code == 2
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+AS_LIMIT = 128 * 2**20  # bytes of address space: about 100 MB over start-up
+
+
+def _limit_address_space():
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (AS_LIMIT, AS_LIMIT))
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is Linux's")
+@pytest.mark.parametrize("argv, flag", [
+    (["tree", "--levels", "14", "--max-p", "8", "--format", "json"], "--levels"),
+    (["verify", "--suite", "T2.9", "--bound", str(10**12), "--workers", "1"], "--bound"),
+])
+def test_out_of_memory_is_a_one_line_usage_error(argv, flag):
+    # both used to end in a MemoryError traceback with exit 1, which means
+    # "check failed"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-m", "syrtree.cli"] + argv, env=env,
+                          preexec_fn=_limit_address_space, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert "Traceback" not in proc.stderr
+    assert "out of memory" in proc.stderr and flag in proc.stderr

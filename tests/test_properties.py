@@ -2,16 +2,26 @@
 
 Seeds are odd integers of 1 to 10^4 bits, plus the worst-case row entries
 (4^(p+1)-1)/3 = entry(1, p, 0), whose locate walks every row down to 0.
-The examples are derandomized so that the suite stays reproducible.
+Whole sequences are printed from seeds of up to 4000 bits. The examples
+are derandomized so that the suite stays reproducible.
 """
 
+import random
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from syrtree.arith import _v2, syr, v2
 from syrtree.matrices import Coord, _entry, _locate, child_column, entry, locate
-from syrtree.sequences import collatz_expand, syr_seq_model, syr_seq_oracle
+from syrtree.sequences import (
+    DEFAULT_MAX_STEPS,
+    col_seq,
+    collatz_expand,
+    decimal_strings,
+    syr_seq_model,
+    syr_seq_oracle,
+)
 
 MAX_BITS = 10**4
 
@@ -108,3 +118,52 @@ def test_child_column_equals_enumeration(child_a, parent_a, x, q):
 def test_v2_core_equals_the_checked_v2(m, k):
     n = m << k  # at most 2^4000, with valuations up to k + v2(m)
     assert _v2(n) == v2(n) >= k
+
+
+SEQ_BITS = 4000
+
+# any parity; the worst-case entries end in one step of a large valuation
+seq_seeds = st.one_of(
+    st.integers(1, SEQ_BITS).flatmap(lambda bits: st.integers(1 << (bits - 1), (1 << bits) - 1)),
+    st.integers(0, (SEQ_BITS - 2) // 2).map(lambda p: (4 ** (p + 1) - 1) // 3),
+)
+budgets = st.one_of(st.integers(0, 64), st.just(DEFAULT_MAX_STEPS))
+# the drawn examples rarely run a long random seed to 1
+BIG_SEED = random.Random(SEQ_BITS).getrandbits(SEQ_BITS) | 1 << (SEQ_BITS - 1) | 1
+
+
+@settings(checked, max_examples=40)
+@given(seq_seeds, st.sampled_from(("col", "syr")), budgets, st.integers(0, 64))
+@example(BIG_SEED, "col", DEFAULT_MAX_STEPS, 0)
+@example(BIG_SEED >> 1000, "col", DEFAULT_MAX_STEPS, 1000)
+@example(BIG_SEED, "syr", DEFAULT_MAX_STEPS, 0)
+def test_decimal_strings_equal_str_on_sequences(n, kind, budget, shift):
+    # col seeds are shifted left, which makes an even seed of most of them
+    s = col_seq(n << shift, budget) if kind == "col" else syr_seq_model(n | 1, budget)
+    assert decimal_strings(s.terms) == list(map(str, s.terms))
+
+
+@checked
+@given(st.integers(1, 600).flatmap(lambda bits: st.integers(1 << (bits - 1), (1 << bits) - 1)),
+       st.integers(0, 200),
+       st.lists(st.tuples(st.sampled_from(("insert", "replace", "delete", "3p+1", "p/2")),
+                          st.integers(0, 10**6), st.integers(1, 2**600)), max_size=8))
+def test_decimal_strings_equal_str_on_broken_chains(n, budget, edits):
+    # edits make pairs that match no relation (each restarts the carried
+    # value) and relations no generator emits: 3p+1 after an even p, p/2
+    # after an odd p (no relation: odd p has no half)
+    terms = col_seq(n, budget).terms
+    for op, pos, value in edits:
+        i = pos % (len(terms) + 1)
+        if op == "insert":
+            terms.insert(i, value)
+        elif op == "3p+1":
+            terms.insert(i, 3 * terms[i - 1] + 1 if i else value)
+        elif op == "p/2":
+            terms.insert(i, terms[i - 1] // 2 or 1 if i else value)
+        elif i < len(terms):
+            if op == "replace":
+                terms[i] = value
+            else:
+                del terms[i]
+    assert decimal_strings(terms) == list(map(str, terms))

@@ -1,6 +1,8 @@
 import csv
 import io
+import json
 import random
+import sys
 
 import pytest
 
@@ -10,6 +12,7 @@ from syrtree.sequences import (
     Sequence,
     col_seq,
     collatz_expand,
+    decimal_strings,
     stats,
     syr_seq_model,
     syr_seq_oracle,
@@ -224,3 +227,53 @@ def test_to_csv_matches_csv_writer(include_terms):
     ]
     for seqs in batches:
         assert to_csv(seqs, include_terms) == csv_writer_reference(seqs, include_terms)
+
+
+def json_dumps_reference(s, include_terms=True):
+    """to_json as json.dumps writes it, the reference for the joined line."""
+    st = stats(s)
+    doc = {"kind": s.kind, "seed": s.seed, "steps": s.steps, "truncated": s.truncated,
+           "stats": {"stopping_time": st.stopping_time, "max_term": st.max_term,
+                     "odd_steps": st.odd_steps}}
+    if include_terms:
+        doc["terms"] = s.terms
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+@pytest.mark.parametrize("include_terms", [True, False])
+def test_to_json_matches_json_dumps(include_terms):
+    big = random.Random(4000).getrandbits(4000) | (1 << 3999) | 1
+    for s in [syr_seq_model(27), col_seq(27, max_steps=3), col_seq(1), syr_seq_model(1),
+              col_seq(96), syr_seq_model(big, max_steps=40), col_seq(big, max_steps=40),
+              Sequence(7, [7, 22, 11, 34, 17, 100, 2, 1], False, 'k"\\nd')]:
+        assert to_json(s, include_terms) == json_dumps_reference(s, include_terms)
+
+
+def test_decimal_strings_of_no_terms():
+    assert decimal_strings([]) == []
+
+
+# 640 is the lowest nonzero int/str digit limit; 2^2126 has 640 digits, and
+# 10^640 - 1 has 640 while its next term 3 * 10^640 - 2 has 641
+@pytest.mark.parametrize("seed, over", [(2**2126, False), (10**640 - 1, True)])
+def test_decimal_strings_keep_the_int_str_digit_limit(seed, over):
+    s = col_seq(seed)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        if over:
+            with pytest.raises(ValueError, match="limit"):
+                list(map(str, s.terms))
+            with pytest.raises(ValueError, match="limit"):
+                decimal_strings(s.terms)
+            for include_terms in (True, False):
+                with pytest.raises(ValueError, match="limit"):
+                    to_json(s, include_terms)
+                with pytest.raises(ValueError, match="limit"):
+                    to_csv([s], include_terms)
+        else:
+            assert decimal_strings(s.terms) == list(map(str, s.terms))
+            assert to_json(s) == json_dumps_reference(s)
+            assert to_csv([s]) == csv_writer_reference([s])
+    finally:
+        sys.set_int_max_str_digits(limit)
