@@ -128,15 +128,14 @@ seq_seeds = st.one_of(
     st.integers(0, (SEQ_BITS - 2) // 2).map(lambda p: (4 ** (p + 1) - 1) // 3),
 )
 budgets = st.one_of(st.integers(0, 64), st.just(DEFAULT_MAX_STEPS))
-# the drawn examples rarely run a long random seed to 1
-BIG_SEED = random.Random(SEQ_BITS).getrandbits(SEQ_BITS) | 1 << (SEQ_BITS - 1) | 1
+# the drawn examples rarely run a long random seed to 1; test_cli runs
+# 4000-bit odd seeds to 1 as both kinds, and this is an even one
+BIG_EVEN = (random.Random(SEQ_BITS).getrandbits(SEQ_BITS - 1000) | 1 << (SEQ_BITS - 1001)) << 1000
 
 
 @settings(checked, max_examples=40)
 @given(seq_seeds, st.sampled_from(("col", "syr")), budgets, st.integers(0, 64))
-@example(BIG_SEED, "col", DEFAULT_MAX_STEPS, 0)
-@example(BIG_SEED >> 1000, "col", DEFAULT_MAX_STEPS, 1000)
-@example(BIG_SEED, "syr", DEFAULT_MAX_STEPS, 0)
+@example(BIG_EVEN, "col", DEFAULT_MAX_STEPS, 0)
 def test_decimal_strings_equal_str_on_sequences(n, kind, budget, shift):
     # col seeds are shifted left, which makes an even seed of most of them
     s = col_seq(n << shift, budget) if kind == "col" else syr_seq_model(n | 1, budget)
