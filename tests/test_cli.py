@@ -322,7 +322,7 @@ def test_out_of_memory_is_a_one_line_usage_error(argv, flag):
     # both used to end in a MemoryError traceback with exit 1, which means
     # "check failed"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "syrtree.cli"] + argv, env=env,
                           preexec_fn=_limit_address_space, capture_output=True,
                           text=True, timeout=120)
