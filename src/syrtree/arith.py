@@ -7,6 +7,10 @@ form; divisibility by 3 is asserted at each use, never assumed.
 
 DEFAULT_MAX_STEPS = 100_000
 
+# the low machine word: trailing-bit reads on a big int mask it off first,
+# so they cost one small int instead of a copy of the whole number
+LOW = (1 << 64) - 1
+
 
 def _require_positive(n):
     if not isinstance(n, int) or n < 1:
@@ -37,10 +41,12 @@ def odd_part(n: int) -> int:
 
 
 def syr(n: int) -> int:
-    """One accelerated step: the odd part of 3n+1 (n odd)."""
+    """One accelerated step: the odd part of 3n+1 (n odd), with v2(3n+1)
+    read off the low 64 bits, or off all of 3n+1 when those are zero."""
     _require_odd(n)
     m = 3 * n + 1
-    return m >> ((m & -m).bit_length() - 1)
+    w = m if m <= LOW else (m & LOW or m)
+    return m >> ((w & -w).bit_length() - 1)
 
 
 def col_step(n: int) -> int:

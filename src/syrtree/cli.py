@@ -3,13 +3,15 @@
 Text output is human-first; json, csv and dot outputs are deterministic
 byte for byte for fixed flags (timing and worker count never leak into
 machine formats). Exit codes: 0 pass/success, 1 check failure, 2 usage
-error or out of memory, 3 undecided at budget (with --strict for seq).
+error, out of memory or a lost worker process, 3 undecided at budget
+(with --strict for seq).
 """
 
 import argparse
 import json
 import os
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from typing import List, Optional
 
 from . import sequences, verify
@@ -289,15 +291,19 @@ def main(argv: Optional[List[str]] = None) -> int:
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
     if limit:
         sys.set_int_max_str_digits(0)
+    lost = False
     try:
         return handler(args)
     except MemoryError:
         pass  # reported below, once the frames that filled memory are freed
+    except BrokenProcessPool:  # the OS killed a worker, most often for its memory
+        lost = True
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)
-    print(f"{args.command}: out of memory; lower {MEMORY_FLAGS[args.command]}",
-          file=sys.stderr)
+    cause = "a worker process was lost" if lost else "out of memory"
+    flag = "--bound or --workers" if lost else MEMORY_FLAGS[args.command]
+    print(f"{args.command}: {cause}; lower {flag}", file=sys.stderr)
     return 2
 
 

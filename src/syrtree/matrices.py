@@ -19,7 +19,7 @@ build their own valid cells or odd terms call the cores directly.
 
 from typing import Iterator, NamedTuple, Optional
 
-from .arith import _require_odd
+from .arith import LOW, _require_odd
 
 
 class Coord(NamedTuple):
@@ -77,13 +77,17 @@ def locate(n: int) -> Coord:
 def _locate(n: int) -> Coord:
     """locate without the argument check, for a positive odd int n.
 
-    After 8 reductions the cell is read off 3n+1 instead, which entry's closed
+    The reductions run on the low 64 bits of n, and q is one shift of n.
+    With m = 5 (mod 8), (m-1)/4 == m >> 2, so p reductions leave n >> 2p;
+    then (m-1)/8 == m >> 3 when m = 1 (mod 8), and (m-3)/4 == m >> 2 when
+    m = 3 (mod 4). The loop reads at most the low 19 bits of n: after 8
+    reductions the cell is read off 3n+1 instead, which entry's closed
     forms make (6q+1) * 2^(2p+2) in branch 1 and (6q+5) * 2^(2p+1) in
     branch 5.
     """
-    m, p = n, 0
+    m, p = n if n <= LOW else n & LOW, 0
     while m & 7 == 5:
-        m = (m - 1) >> 2
+        m >>= 2
         p += 1
         if p == 8:
             t = 3 * n + 1
@@ -91,8 +95,8 @@ def _locate(n: int) -> Coord:
             a = 5 if d & 1 else 1
             return _coord(Coord, (a, (d - 1) >> 1, ((t >> d) - a) // 6))
     if m & 7 == 1:
-        return _coord(Coord, (1, p, (m - 1) >> 3))
-    return _coord(Coord, (5, p, (m - 3) >> 2))
+        return _coord(Coord, (1, p, n >> (2 * p + 3)))
+    return _coord(Coord, (5, p, n >> (2 * p + 2)))
 
 
 def residue6(n: int) -> int:

@@ -25,6 +25,7 @@ import json
 import sys
 from dataclasses import dataclass
 from decimal import Decimal
+from operator import itemgetter
 from typing import Iterator, List, NamedTuple, Optional, Tuple
 
 from .arith import DEFAULT_MAX_STEPS, _require_odd, v2
@@ -87,7 +88,7 @@ def syr_seq_model(n: int, max_steps: int = DEFAULT_MAX_STEPS) -> Sequence:
     """
     terms = [n]
     if n != 1:
-        terms.extend(t for _c, t in walk(n, max_steps))
+        terms.extend(map(itemgetter(1), walk(n, max_steps)))
     return Sequence(n, terms, terms[-1] != 1, "syr")
 
 
@@ -124,10 +125,18 @@ def col_seq(n: int, max_steps: int = DEFAULT_MAX_STEPS) -> Sequence:
     Even seeds are halved down to their odd part (the even-input path),
     then the odd case continues; odd seeds expand syr_seq_model directly.
     Budget counts plain steps; exceeding it truncates, never raises.
+
+    With 2^r the largest power of 2 dividing n, the odd walk takes at most
+    k = max(max_steps - r + 1, 0) // 2 steps. Each odd step puts two plain
+    terms or more before the next odd term: the odd term and 3n+1. So a
+    walk cut at k steps gives r + 2k + 1 >= max_steps + 1 plain terms, a
+    prefix of the whole sequence, and the whole sequence has r + 2k + 3 >
+    max_steps + 1 terms or more. Either way the kept terms and the
+    truncated flag are those of the whole sequence.
     """
     keep = max(max_steps, 0) + 1  # a negative budget acts as 0, as in the other generators
     r = v2(n)
-    s = syr_seq_model(n >> r, max_steps)
+    s = syr_seq_model(n >> r, max(max_steps - r + 1, 0) // 2)
     terms = [n >> i for i in range(min(r, keep))] + _expand_terms(s.terms)
     return Sequence(n, terms[:keep], s.truncated or len(terms) > keep, "col")
 

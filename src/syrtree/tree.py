@@ -13,7 +13,6 @@ Construction is breadth-first with children ordered by row index p, so
 exports are byte-reproducible golden files.
 """
 
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
@@ -30,6 +29,9 @@ class ComponentId(NamedTuple):
 
 
 ROOT = ComponentId(1, 0)
+
+# builds a ComponentId or TreeEdge without NamedTuple's Python-level __new__
+_tuple = tuple.__new__
 
 
 class TreeEdge(NamedTuple):
@@ -68,7 +70,7 @@ def _column(c: ComponentId, max_p: int, max_value: Optional[int]):
         if r == 3:
             blacks.append((p, n))
         elif n != 1:
-            edges.append(TreeEdge(c, ComponentId(r, (n - r) // 6), p, n))
+            edges.append(_tuple(TreeEdge, (c, _tuple(ComponentId, (r, (n - r) // 6)), p, n)))
         n = 4 * n + 1
     return edges, blacks
 
@@ -159,7 +161,7 @@ def path_to_root(n: int, max_steps: int = DEFAULT_MAX_STEPS) -> RootPath:
     budget runs out (reported, never asserted: reaching 1 is the question
     under test, not an axiom).
     """
-    steps = [(ComponentId(c.a, c.q), t) for c, t in walk(n, max_steps)]
+    steps = [(_tuple(ComponentId, (c.a, c.q)), t) for c, t in walk(n, max_steps)]
     return RootPath(steps, not steps or steps[-1][1] != 1)
 
 
@@ -178,64 +180,51 @@ def export(tree: Tree, fmt: str, include_black: bool = False) -> bytes:
 
 
 def _to_dot(tree: Tree, include_black: bool) -> str:
+    # every edge joins two nodes of the tree, so each name is made once here
+    names = {c: node_name(c) for row in tree.nodes for c in row}
     lines = ["digraph components {", "  rankdir=TB;"]
     for row in tree.nodes:
         for c in row:
-            attrs = f'label="{node_name(c)}"'
-            if c == tree.root:
-                attrs += ", peripheries=2"  # trivial-cycle anchor
-            lines.append(f'  "{node_name(c)}" [{attrs}];')
+            name = names[c]
+            anchor = ", peripheries=2" if c == tree.root else ""  # trivial-cycle anchor
+            lines.append(f'  "{name}" [label="{name}"{anchor}];')
     for row in tree.edges:
         for e in row:
-            lines.append(
-                f'  "{node_name(e.parent)}" -> "{node_name(e.child)}" '
-                f'[label="via={e.via} p={e.p}"];'
-            )
+            lines.append(f'  "{names[e.parent]}" -> "{names[e.child]}" '
+                         f'[label="via={e.via} p={e.p}"];')
     if include_black:
         for row in tree.nodes:
             for c in row:
                 for p, value in tree.blacks.get(c, ()):
                     lines.append(f'  "b{value}" [label="{value}", shape=point];')
-                    lines.append(
-                        f'  "{node_name(c)}" -> "b{value}" [style=dotted, label="p={p}"];'
-                    )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+                    lines.append(f'  "{names[c]}" -> "b{value}" [style=dotted, label="p={p}"];')
+    lines.append("}\n")
+    return "\n".join(lines)
 
 
 def _to_json(tree: Tree, include_black: bool) -> str:
+    """What json.dumps(doc, sort_keys=True, separators=(",", ":")) writes
+    for the level-indexed document, written from the tree with the keys in
+    sorted order."""
     levels = []
     for r, row in enumerate(tree.nodes):
-        by_parent: Dict[ComponentId, List[TreeEdge]] = {}
-        if r < len(tree.edges):
-            for e in tree.edges[r]:
-                by_parent.setdefault(e.parent, []).append(e)
+        by_parent: Dict[ComponentId, List[str]] = {}
+        for e in tree.edges[r] if r < len(tree.edges) else ():
+            a, q = e.child
+            by_parent.setdefault(e.parent, []).append(
+                f'{{"a":{a},"p":{e.p},"q":{q},"via":{e.via}}}')
         nodes = []
         for c in row:
-            node = {
-                "a": c.a,
-                "q": c.q,
-                "connection_point": connection_point(c),
-                "children": [
-                    {"a": e.child.a, "q": e.child.q, "p": e.p, "via": e.via}
-                    for e in by_parent.get(c, [])
-                ],
-            }
-            if c == tree.root:
-                node["trivial_cycle_anchor"] = True
+            a, q = c
+            black = ""
             if include_black and c in tree.blacks:
-                node["black_entries"] = [
-                    {"p": p, "value": v} for p, v in tree.blacks[c]
-                ]
-            nodes.append(node)
-        levels.append({"level": r, "nodes": nodes})
-    doc = {
-        "root": {"a": tree.root.a, "q": tree.root.q},
-        "limits": {
-            "max_level": tree.max_level,
-            "max_p": tree.max_p,
-            "max_value": tree.max_value,
-        },
-        "levels": levels,
-    }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+                black = ',"black_entries":[' + ",".join(
+                    [f'{{"p":{p},"value":{v}}}' for p, v in tree.blacks[c]]) + "]"
+            anchor = ',"trivial_cycle_anchor":true' if c == tree.root else ""
+            nodes.append(f'{{"a":{a}{black},"children":[{",".join(by_parent.get(c, ()))}],'
+                         f'"connection_point":{connection_point(c)},"q":{q}{anchor}}}')
+        levels.append(f'{{"level":{r},"nodes":[{",".join(nodes)}]}}')
+    max_value = "null" if tree.max_value is None else tree.max_value
+    return (f'{{"levels":[{",".join(levels)}],"limits":{{"max_level":{tree.max_level},'
+            f'"max_p":{tree.max_p},"max_value":{max_value}}},'
+            f'"root":{{"a":{tree.root.a},"q":{tree.root.q}}}}}\n')

@@ -4,10 +4,12 @@ import os
 import random
 import subprocess
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
 
+from syrtree import verify
 from syrtree.cli import main
 from syrtree.sequences import collatz_expand, stats, syr_seq_oracle
 
@@ -331,3 +333,18 @@ def test_out_of_memory_is_a_one_line_usage_error(argv, flag):
     assert len(proc.stderr.splitlines()) == 1
     assert "Traceback" not in proc.stderr
     assert "out of memory" in proc.stderr and flag in proc.stderr
+
+
+def test_lost_worker_is_a_one_line_usage_error(capsys, monkeypatch):
+    # the pool raises this when the OS kills a worker; it used to end in a
+    # traceback with exit 1, which means "check failed"
+    def lost(*_args):
+        raise BrokenProcessPool("A process in the process pool was terminated abruptly")
+
+    monkeypatch.setattr(verify, "_run_tasks", lost)
+    code, out, err = run(capsys, "verify", "--suite", "T2.9", "--workers", "2")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+    assert "--bound" in err and "--workers" in err

@@ -65,6 +65,66 @@ def test_locate_equals_the_reduction_loop_on_deep_rows(p):
             assert locate(n) == plain_locate(n) == (a, p, q)
 
 
+def reference_locate(n):
+    """locate's core as a loop on all of n, which reduces (m-1)/4 and reads
+    q off the reduced value, with the same closed form for deep rows."""
+    m, p = n, 0
+    while m & 7 == 5:
+        m = (m - 1) >> 2
+        p += 1
+        if p == 8:
+            t = 3 * n + 1
+            d = (t & -t).bit_length() - 1
+            a = 5 if d & 1 else 1
+            return Coord(a, (d - 1) >> 1, ((t >> d) - a) // 6)
+    if m & 7 == 1:
+        return Coord(1, p, (m - 1) >> 3)
+    return Coord(5, p, (m - 3) >> 2)
+
+
+def reference_syr(n):
+    """syr with v2(3n+1) read off all of 3n+1."""
+    m = 3 * n + 1
+    return m >> ((m & -m).bit_length() - 1)
+
+
+def assert_kernels_equal_references(n):
+    assert _locate(n) == locate(n) == reference_locate(n)
+    assert syr(n) == reference_syr(n)
+
+
+@checked
+@given(st.integers(1, 5000).flatmap(lambda bits: st.integers(1 << (bits - 1), (1 << bits) - 1))
+       .map(lambda n: n | 1))
+def test_kernels_equal_the_whole_int_references(n):
+    assert_kernels_equal_references(n)
+
+
+@pytest.mark.parametrize("p", range(41))  # the deep path from 8, the word's edge near 30
+def test_kernels_equal_the_whole_int_references_on_rows(p):
+    for a in (1, 5):
+        for q in (0, 1, 2, 3, 12345, 2**64 - 1, 2**70 + 3):
+            n = entry(a, p, q)
+            assert_kernels_equal_references(n)
+            assert locate(n) == (a, p, q)
+
+
+def test_kernels_equal_the_whole_int_references_at_the_word_edge():
+    for n in range(2**64 - 99, 2**64 + 100, 2):
+        assert_kernels_equal_references(n)
+        assert_kernels_equal_references(n << 64 | n)
+
+
+@pytest.mark.parametrize("k", [1, 63, 64, 65, 200])
+def test_syr_of_a_known_valuation(k):
+    # 3n+1 == u * 2^k for odd u = 2^k (mod 3), so n is odd and v2(3n+1) == k
+    for t in (0, 1, 7, 2**64 + 5, 2**300 + 1):
+        u = 6 * t + (1 if k % 2 == 0 else 5)
+        n = ((u << k) - 1) // 3
+        assert syr(n) == reference_syr(n) == u
+        assert _locate(n) == reference_locate(n)
+
+
 @checked
 @given(odd_seeds)
 def test_cores_equal_the_checked_functions(n):
@@ -98,6 +158,25 @@ def test_collatz_expand_of_oracle_is_plain_iteration(n):
         m = terms[-1]
         terms.append(3 * m + 1 if m & 1 else m >> 1)
     assert collatz_expand(syr_seq_oracle(n)).terms == terms
+
+
+@checked
+@given(st.integers(1, 300).flatmap(lambda bits: st.integers(1 << (bits - 1), (1 << bits) - 1)),
+       st.integers(0, 70), st.integers(-2, 400))
+@example(27, 0, 110)  # 27 reaches 1 at plain step 111
+@example(27, 0, 111)
+@example(27, 3, 113)
+@example(27, 3, 114)
+@example(1, 400, 399)
+def test_col_seq_is_the_plain_iteration_prefix(n, shift, budget):
+    # col_seq walks only the odd steps its budget can print
+    n <<= shift
+    terms = [n]
+    while terms[-1] != 1 and len(terms) <= budget:
+        m = terms[-1]
+        terms.append(3 * m + 1 if m & 1 else m >> 1)
+    s = col_seq(n, budget)
+    assert (s.terms, s.truncated) == (terms, terms[-1] != 1)
 
 
 @checked

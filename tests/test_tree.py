@@ -1,8 +1,13 @@
+import hashlib
+import importlib.util
+import itertools
 import json
+from pathlib import Path
 
 import pytest
 
 from syrtree.arith import syr
+from syrtree.cli import main
 from syrtree.matrices import locate
 from syrtree.tree import (
     ROOT,
@@ -12,6 +17,7 @@ from syrtree.tree import (
     children,
     connection_point,
     export,
+    node_name,
     path_to_root,
 )
 
@@ -202,3 +208,74 @@ def test_export_black_annotations():
 def test_export_unknown_format():
     with pytest.raises(ValueError):
         export(build_tree(0, 1), "yaml")
+
+
+def export_doc(t, include_black):
+    """The JSON export of a tree as a dict, built node by node."""
+    levels = []
+    for r, row in enumerate(t.nodes):
+        by_parent = {}
+        for e in t.edges[r] if r < len(t.edges) else ():
+            by_parent.setdefault(e.parent, []).append(
+                {"a": e.child.a, "q": e.child.q, "p": e.p, "via": e.via})
+        nodes = []
+        for c in row:
+            node = {"a": c.a, "q": c.q, "connection_point": connection_point(c),
+                    "children": by_parent.get(c, [])}
+            if c == t.root:
+                node["trivial_cycle_anchor"] = True
+            if include_black and c in t.blacks:
+                node["black_entries"] = [{"p": p, "value": v} for p, v in t.blacks[c]]
+            nodes.append(node)
+        levels.append({"level": r, "nodes": nodes})
+    return {
+        "root": {"a": t.root.a, "q": t.root.q},
+        "limits": {"max_level": t.max_level, "max_p": t.max_p, "max_value": t.max_value},
+        "levels": levels,
+    }
+
+
+def reference_dot(t, include_black):
+    """The DOT export of a tree, line by line."""
+    lines = ["digraph components {", "  rankdir=TB;"]
+    for c in itertools.chain.from_iterable(t.nodes):
+        anchor = ", peripheries=2" if c == t.root else ""
+        lines.append(f'  "{node_name(c)}" [label="{node_name(c)}"{anchor}];')
+    for e in itertools.chain.from_iterable(t.edges):
+        lines.append(f'  "{node_name(e.parent)}" -> "{node_name(e.child)}" '
+                     f'[label="via={e.via} p={e.p}"];')
+    if include_black:
+        for c in itertools.chain.from_iterable(t.nodes):
+            for p, value in t.blacks.get(c, ()):
+                lines.append(f'  "b{value}" [label="{value}", shape=point];')
+                lines.append(f'  "{node_name(c)}" -> "b{value}" [style=dotted, label="p={p}"];')
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+@pytest.mark.parametrize("levels", range(5))
+@pytest.mark.parametrize("max_value", [None, 1, 100, 10**6])
+def test_export_equals_the_reference_documents(levels, max_value):
+    for max_p, built_black, black in itertools.product(range(9), (False, True), (False, True)):
+        t = build_tree(levels, max_p, max_value, include_black=built_black)
+        doc = json.dumps(export_doc(t, black), sort_keys=True, separators=(",", ":")) + "\n"
+        assert export(t, "json", include_black=black) == doc.encode()
+        assert export(t, "dot", include_black=black) == reference_dot(t, black).encode()
+
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+@pytest.fixture(scope="module")
+def benchmark_workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+@pytest.mark.parametrize("doc", ["tree_json", "tree_dot", "table_b"])
+def test_benchmark_documents_equal_their_recorded_digests(benchmark_workloads, capsys, doc):
+    # the explore workload's documents, at its flags, against perfbench/golden.json
+    assert main(list(benchmark_workloads.DOCS[doc])) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == benchmark_workloads.load_golden()["explore"][doc]
