@@ -4,7 +4,7 @@ Text output is human-first; json, csv and dot outputs are deterministic
 byte for byte for fixed flags (timing and worker count never leak into
 machine formats). Exit codes: 0 pass/success, 1 check failure, 2 usage
 error, out of memory or a lost worker process, 3 undecided at budget
-(with --strict for seq).
+(with --strict for seq), 130 interrupted (Ctrl-C).
 """
 
 import argparse
@@ -294,6 +294,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     lost = False
     try:
         return handler(args)
+    except KeyboardInterrupt:
+        print(f"{args.command}: interrupted", file=sys.stderr)
+        return 130
     except MemoryError:
         pass  # reported below, once the frames that filled memory are freed
     except BrokenProcessPool:  # the OS killed a worker, most often for its memory

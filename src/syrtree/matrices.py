@@ -150,7 +150,7 @@ class ConnectionCell(NamedTuple):
 
 def iter_connections(
     parent_a: int,
-    x_max: int,
+    x_max: Optional[int] = None,
     *,
     q_max: Optional[int] = None,
     max_child: Optional[int] = None,
@@ -159,14 +159,16 @@ def iter_connections(
 
     Walks entries cell by cell (running addition along each row, no powers)
     and classifies each by residue mod 6; multiples of 3 are skipped, so
-    only defined cells are yielded. Bound the sweep by column index
-    (q_max) and/or by child column value (max_child). Independent of the
-    closed forms in child_column(), which it is tested against.
+    only defined cells are yielded. Bound the sweep by child column value
+    (max_child), which also bounds the rows, and/or by row and column index
+    (x_max and q_max). Independent of the closed forms in child_column(),
+    which it is tested against.
     """
-    if q_max is None and max_child is None:
-        raise ValueError("need q_max or max_child to bound the enumeration")
+    if max_child is None and (q_max is None or x_max is None):
+        raise ValueError("need max_child, or q_max and x_max, to bound the enumeration")
     entry_cap = None if max_child is None else 6 * max_child + 5
-    for x in range(x_max + 1):
+    # row x starts at entry(a, x, 0) >= 4**x, past entry_cap from x = its bit length
+    for x in range((entry_cap.bit_length() if x_max is None else x_max) + 1):
         for q, e in enumerate(row(parent_a, x)):
             if (q_max is not None and q > q_max) or (entry_cap is not None and e > entry_cap):
                 break

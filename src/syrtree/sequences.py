@@ -150,11 +150,15 @@ class SeqStats(NamedTuple):
 
 
 def stats(s) -> SeqStats:
-    """Stopping time (index of the first 1), peak term, and odd-term count."""
+    """Stopping time (index of the first 1), peak term, and the count of odd
+    terms before the first 1. Every term of a "syr" sequence is odd, so its
+    count is that index, or the term count when no 1 was reached."""
     terms = s.terms
-    stop = terms.index(1) if 1 in terms else None
-    upto = stop if stop is not None else len(terms)
-    odd = sum(1 for t in terms[:upto] if t & 1)
+    try:
+        stop = upto = terms.index(1)
+    except ValueError:
+        stop, upto = None, len(terms)
+    odd = upto if s.kind == "syr" else len([t for t in terms[:upto] if t & 1])
     return SeqStats(stop, max(terms), odd)
 
 

@@ -22,9 +22,10 @@ Check IDs (stable, individually addressable from the CLI):
 
 import functools
 import os
+import signal
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Collection, Dict, List, Optional, Tuple
 
 from .arith import syr, syr_class
@@ -75,20 +76,15 @@ class PropertyCheck:
 
     def as_dict(self) -> dict:
         # elapsed intentionally omitted: reports must be byte-reproducible
-        return {
-            "id": self.id,
-            "bound": self.bound,
-            "passed": self.passed,
-            "counterexamples": self.counterexamples,
-            "details": self.details,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "elapsed"}
 
 
 class _Collector:
-    """Caps counterexample capture; scanning stops once the cap is hit."""
+    """Caps counterexample capture and times the check, which makes it first."""
 
     def __init__(self):
         self.items: List[dict] = []
+        self.t0 = time.perf_counter()
 
     def add(self, **kw) -> bool:
         """Record one counterexample; returns False when full."""
@@ -96,10 +92,10 @@ class _Collector:
             self.items.append(kw)
         return len(self.items) < MAX_COUNTEREXAMPLES
 
-    def result(self, check_id: str, bound: str, details: Dict[str, int], t0: float) -> PropertyCheck:
+    def result(self, check_id: str, bound: str, details: Dict[str, int]) -> PropertyCheck:
         """The check's outcome: it passes exactly when nothing was recorded."""
         return PropertyCheck(check_id, bound, not self.items, self.items, details,
-                             time.perf_counter() - t0)
+                             time.perf_counter() - self.t0)
 
 
 def table_a_rows(q_max: int = 15) -> List[tuple]:
@@ -140,7 +136,6 @@ def check_partition(bound: int = 10_000) -> PropertyCheck:
     (so every non-seed term is 6t+1 or 6t+5). Regenerates the S-value
     table for q = 0..15 and compares the fixed reference rows.
     """
-    t0 = time.perf_counter()
     ce = _Collector()
     scanning = True
     for t in range(bound + 1):
@@ -172,7 +167,7 @@ def check_partition(bound: int = 10_000) -> PropertyCheck:
         if syr_class(5, q) != syr_class(a_dup, q // 4):
             ce.add(q=q, identity="S5 duplication", dup_class=a_dup)
     return ce.result("L2.1", f"t<={bound}",
-                     {"identities_checked": 4 * (bound + 1), "table_rows": 16}, t0)
+                     {"identities_checked": 4 * (bound + 1), "table_rows": 16})
 
 
 def check_coverage(bound: int = 10**6) -> PropertyCheck:
@@ -186,7 +181,6 @@ def check_coverage(bound: int = 10**6) -> PropertyCheck:
     come in enumeration order, and a broken locate shows only as "locate
     disagrees": the round trip and the slice read the enumerated cell.
     """
-    t0 = time.perf_counter()
     ce = _Collector()
     seen = bytearray((bound >> 1) + 1)
     cells = 0
@@ -218,7 +212,7 @@ def check_coverage(bound: int = 10**6) -> PropertyCheck:
             break
         idx = seen.find(0, idx + 1, odds)
     return ce.result("T2.9", f"n<={bound}",
-                     {"cells_enumerated": cells, "odds_checked": odds}, t0)
+                     {"cells_enumerated": cells, "odds_checked": odds})
 
 
 def check_closed_forms(p_max: int = 8, q_max: int = 64) -> PropertyCheck:
@@ -231,7 +225,6 @@ def check_closed_forms(p_max: int = 8, q_max: int = 64) -> PropertyCheck:
     on the defined cells. Also regenerates the reference connection table
     (x <= 8, y <= 15) and compares the fixed anchor cells.
     """
-    t0 = time.perf_counter()
     ce = _Collector()
     entries = 0
     for a in (1, 5):
@@ -272,7 +265,7 @@ def check_closed_forms(p_max: int = 8, q_max: int = 64) -> PropertyCheck:
             ce.add(anchor=cell, problem="missing from regenerated table")
     return ce.result("T2.11", f"p<={p_max},q<={q_max}",
                      {"entries_checked": entries, "cells_checked": cells,
-                      "table_anchors": anchors_ok}, t0)
+                      "table_anchors": anchors_ok})
 
 
 def check_connection_coverage(bound: int = 10_000) -> PropertyCheck:
@@ -284,15 +277,11 @@ def check_connection_coverage(bound: int = 10_000) -> PropertyCheck:
     two exhibits a witness per m: the cell holding 6m+a must be a defined
     connection with child column m (by closed form).
     """
-    t0 = time.perf_counter()
     ce = _Collector()
     covered = {1: bytearray(bound + 1), 5: bytearray(bound + 1)}
     cells = 0
-    # row x starts at entry(a, x, 0) >= 4**x, so row x_max starts past the
-    # cap 6*bound+5; iter_connections returns at the first such row
-    x_max = (6 * bound + 5).bit_length()
     for parent_a in (1, 5):
-        for c in iter_connections(parent_a, x_max, max_child=bound):
+        for c in iter_connections(parent_a, max_child=bound):
             covered[c.child_a][c.m] = 1
             cells += 1
     witnesses = 0
@@ -311,7 +300,7 @@ def check_connection_coverage(bound: int = 10_000) -> PropertyCheck:
             continue
         break
     return ce.result("T2.12", f"m<={bound}",
-                     {"cells_enumerated": cells, "witnesses": witnesses}, t0)
+                     {"cells_enumerated": cells, "witnesses": witnesses})
 
 
 def check_cycle_freedom(bound: int = 10**5, max_steps: int = 10**5) -> PropertyCheck:
@@ -335,7 +324,6 @@ def check_cycle_freedom(bound: int = 10**5, max_steps: int = 10**5) -> PropertyC
     with a counterexample certifies nothing, so later walks go through it
     in full.
     """
-    t0 = time.perf_counter()
     ce = _Collector()
     # slot s >> 1 holds the steps to 1 of a certified odd seed s <= cap, -1
     # until then, so the list does not grow with bound past MEMO_MAX. 1 is
@@ -353,7 +341,7 @@ def check_cycle_freedom(bound: int = 10**5, max_steps: int = 10**5) -> PropertyC
                 certified[seed >> 1] = steps
         elif not ce.add(seed=seed, **found, repro=f"syrtree seq {seed} --kind syr"):
             break
-    return ce.result("T2.15", f"odd seeds<={bound}", {"seeds_checked": seeds}, t0)
+    return ce.result("T2.15", f"odd seeds<={bound}", {"seeds_checked": seeds})
 
 
 def _first_revisit(seed: int, max_steps: int,
@@ -404,7 +392,6 @@ def check_even_identity(bound: int = 10**6) -> PropertyCheck:
     only, is verified for all m up to 2^14 and for a deterministic stride
     above that.
     """
-    t0 = time.perf_counter()
     ce = _Collector()
     evens = 0
     prefix_checked = 0
@@ -426,7 +413,7 @@ def check_even_identity(bound: int = 10**6) -> PropertyCheck:
                               repro=f"syrtree seq {m} --kind col"):
                     break
     return ce.result("L3.3", f"even m<={bound}",
-                     {"evens_checked": evens, "sequence_prefixes_checked": prefix_checked}, t0)
+                     {"evens_checked": evens, "sequence_prefixes_checked": prefix_checked})
 
 
 @dataclass
@@ -646,12 +633,29 @@ def _run_task(task):
 def _run_tasks(tasks: List[tuple], workers: int) -> list:
     """Results of tasks, in task order. They run on a process pool of
     _pool_size(workers, len(tasks)) processes, each taking the next task as
-    it comes free, or inline with no pool when that size is 1."""
+    it comes free, or inline with no pool when that size is 1. The workers
+    start with SIGINT blocked and keep it so: a Ctrl-C interrupts the
+    parent alone, which ends them at once and re-raises. (Windows has no
+    signal mask, so there the workers take a SIGINT too.)"""
     size = _pool_size(workers, len(tasks))
     if size <= 1:
         return [_run_task(t) for t in tasks]
+    mask = getattr(signal, "pthread_sigmask", None)
     with ProcessPoolExecutor(max_workers=size) as pool:
-        return list(pool.map(_run_task, tasks))
+        try:
+            held = mask(signal.SIG_BLOCK, [signal.SIGINT]) if mask else None
+            try:
+                results = pool.map(_run_task, tasks)
+            finally:  # a SIGINT held meanwhile raises here
+                if mask:
+                    mask(signal.SIG_SETMASK, held)
+            return list(results)
+        except KeyboardInterrupt:
+            # what ProcessPoolExecutor.terminate_workers does from Python 3.14;
+            # leaving the pool then fails the tasks not done, without waiting
+            for proc in list(pool._processes.values()):
+                proc.terminate()
+            raise
 
 
 def sweep_convergence(
@@ -697,10 +701,11 @@ def run_suite(
     checks = [cid for cid in ids if cid != "sweep"]
     shards = []
     if "sweep" in ids:
-        hi = bound if bound is not None else SUITE_DEFAULT_BOUNDS["sweep"]
+        hi = bound if bound is not None else CHECKS["sweep"][1]
         idle = _pool_size(workers, len(checks) + hi) - len(checks)
         shards = _sweep_shards(1, hi, budget, max(1, idle))
-    order = sorted(range(len(checks)), key=lambda i: -SUITE_DEFAULT_BOUNDS.get(checks[i], 0))
+    # an unknown ID sorts last, and run_check raises its ValueError
+    order = sorted(range(len(checks)), key=lambda i: -CHECKS.get(checks[i], (None, 0))[1])
     results = _run_tasks(shards + [(checks[i], bound) for i in order], workers)
     done = dict(zip(order, results[len(shards):]))
     sweep = _sweep_report(1, hi, budget, results[:len(shards)]) if shards else None
@@ -719,8 +724,6 @@ CHECKS = {
     "L3.3": (check_even_identity, 10**6),
     "sweep": (None, 10**6),
 }
-
-SUITE_DEFAULT_BOUNDS = {cid: bound for cid, (_run, bound) in CHECKS.items()}
 
 SUITE_IDS = tuple(CHECKS)
 

@@ -1,9 +1,12 @@
+import contextlib
 import decimal
 import json
 import os
 import random
+import signal
 import subprocess
 import sys
+import time
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -310,6 +313,12 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 AS_LIMIT = 128 * 2**20  # bytes of address space: about 100 MB over start-up
 
 
+def _cli_env():
+    """The environment for a syrtree.cli subprocess that imports this checkout."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+
+
 def _limit_address_space():
     import resource
     resource.setrlimit(resource.RLIMIT_AS, (AS_LIMIT, AS_LIMIT))
@@ -323,9 +332,7 @@ def _limit_address_space():
 def test_out_of_memory_is_a_one_line_usage_error(argv, flag):
     # both used to end in a MemoryError traceback with exit 1, which means
     # "check failed"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "syrtree.cli"] + argv, env=env,
+    proc = subprocess.run([sys.executable, "-m", "syrtree.cli"] + argv, env=_cli_env(),
                           preexec_fn=_limit_address_space, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 2
@@ -348,3 +355,37 @@ def test_lost_worker_is_a_one_line_usage_error(capsys, monkeypatch):
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err
     assert "--bound" in err and "--workers" in err
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or len(os.sched_getaffinity(0)) < 2,
+                    reason="reads /proc, and needs a pool of two workers")
+def test_ctrl_c_is_one_line_and_exit_130():
+    # a terminal sends Ctrl-C's SIGINT to the whole foreground process group,
+    # pool workers included
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "syrtree.cli", "verify", "--suite", "sweep",
+         "--bound", str(10**8), "--workers", "2"],
+        env=_cli_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True)
+    group = proc.pid  # a new session's leader leads its own process group
+    try:
+        children = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
+        deadline = time.monotonic() + 60
+        while proc.poll() is None and not children.read_text().split():
+            assert time.monotonic() < deadline, "the pool never started"
+            time.sleep(0.01)
+        os.killpg(group, signal.SIGINT)
+        out, err = proc.communicate(timeout=30)
+        assert proc.returncode == 130
+        assert out == ""
+        assert err == "verify: interrupted\n"
+        # the workers were ended, not waited for: each shard takes tens of seconds
+        deadline = time.monotonic() + 5
+        with pytest.raises(ProcessLookupError):
+            while time.monotonic() < deadline:
+                os.killpg(group, 0)
+                time.sleep(0.05)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(group, signal.SIGKILL)
+        proc.communicate(timeout=30)

@@ -139,8 +139,14 @@ def test_iter_connections_max_child_bound():
     for c in iter_connections(1, 10, max_child=100):
         assert c.m <= 100
         assert entry(c.parent_a, c.x, c.y) == 6 * c.m + c.child_a
+    # max_child alone also bounds the rows
+    for pa in (1, 5):
+        assert list(iter_connections(pa, max_child=100)) == \
+            list(iter_connections(pa, (6 * 100 + 5).bit_length(), max_child=100))
 
 
 def test_iter_connections_needs_a_bound():
     with pytest.raises(ValueError):
         list(iter_connections(1, 3))
+    with pytest.raises(ValueError):  # q_max alone leaves the rows unbounded
+        list(iter_connections(1, q_max=5))

@@ -167,11 +167,28 @@ def test_col_seq_truncation_matches_plain_prefix():
             assert s.truncated == (budget < len(ref) - 1)
 
 
+def plain_stats(s):
+    """stats by definition: the first 1, the peak, and the odd terms before
+    that 1 counted one by one."""
+    stop = s.terms.index(1) if 1 in s.terms else None
+    before = s.terms if stop is None else s.terms[:stop]
+    return (stop, max(s.terms), len([t for t in before if t % 2 == 1]))
+
+
 def test_stats_examples():
     assert stats(col_seq(35)) == (13, 160, 3)
     assert stats(Sequence(1, [1], False, "col")) == (0, 1, 0)
     assert stats(col_seq(27)) == (111, 9232, 41)
     assert stats(syr_seq_model(35)) == (3, 53, 3)
+    for s in [
+        syr_seq_model(27, max_steps=10),  # truncated: the odd count is the term count
+        col_seq(27, max_steps=10),
+        Sequence(1, [1], False, "col"),
+        Sequence(1, [1], False, "syr"),
+        # neither kind: odd terms are counted, and only up to the first 1
+        Sequence(12, [12, 6, 3, 10, 5, 1, 7, 2], False, "plain"),
+    ]:
+        assert stats(s) == plain_stats(s), s
 
 
 def test_stats_undecided_when_truncated():

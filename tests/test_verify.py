@@ -640,7 +640,9 @@ def test_sweep_rejects_bad_range():
 
 
 def test_report_dicts_have_no_timing():
-    assert "elapsed" not in check_partition(10).as_dict()
+    check = check_partition(10)
+    assert check.elapsed > 0
+    assert list(check.as_dict()) == ["id", "bound", "passed", "counterexamples", "details"]
     assert "elapsed" not in sweep_convergence(1, 10).as_dict()
 
 
@@ -649,6 +651,8 @@ def test_run_check_dispatch():
     assert run_check("T2.9", 1001).passed
     with pytest.raises(ValueError):
         run_check("T9.99")
+    with pytest.raises(ValueError):  # run_suite orders the checks first
+        run_suite(["T9.99"])
 
 
 @pytest.mark.parametrize("bound", [0, -5])
