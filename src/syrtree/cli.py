@@ -91,6 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="3n+1 sequences via incoming-term matrices, the "
         "component connection tree, and bounded verification sweeps.",
     )
+    # each command names its handler and the flags that bound its memory,
+    # which main names when it runs out
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_seq = sub.add_parser("seq", help="generate a sequence from a seed")
@@ -102,10 +104,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="omit the terms column/field in csv and json")
     p_seq.add_argument("--strict", action="store_true",
                        help="exit 3 when the budget is exhausted")
+    p_seq.set_defaults(handler=_cmd_seq, memory_flag="--max-steps")
 
     p_loc = sub.add_parser("locate", help="matrix coordinate of an odd integer")
     p_loc.add_argument("n", type=_seed)
     p_loc.add_argument("--format", choices=("text", "json"), default="text")
+    p_loc.set_defaults(handler=_cmd_locate, memory_flag="the seed")
 
     p_tree = sub.add_parser("tree", help="build and export the connection tree")
     p_tree.add_argument("--levels", type=_nonneg, default=2)
@@ -115,6 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tree.add_argument("--format", choices=("dot", "json"), default="dot")
     p_tree.add_argument("--include-black", action="store_true",
                         help="annotate entries that accept no connection")
+    p_tree.set_defaults(handler=_cmd_tree, memory_flag="--levels or --max-value")
 
     p_ver = sub.add_parser("verify", help="run bounded checks and sweeps")
     p_ver.add_argument("--suite", choices=("all",) + verify.SUITE_IDS, default="all")
@@ -125,10 +130,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--config", default=None,
                        help="key=value file with sweep defaults "
                        "(bound, budget, workers)")
+    p_ver.set_defaults(handler=_cmd_verify, memory_flag="--bound")
 
     p_tab = sub.add_parser("table", help="regenerate the reference tables as CSV")
     p_tab.add_argument("--which", choices=("A", "B"), required=True)
     p_tab.add_argument("--rows", type=_positive, default=16)
+    p_tab.set_defaults(handler=_cmd_table, memory_flag="--rows")
     return parser
 
 
@@ -261,16 +268,6 @@ def _cmd_table(args) -> int:
     return 0
 
 
-# the flags that bound each command's memory, named when it runs out
-MEMORY_FLAGS = {
-    "seq": "--max-steps",
-    "locate": "the seed",
-    "tree": "--levels or --max-value",
-    "verify": "--bound",
-    "table": "--rows",
-}
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     # the config file and the environment are input too: read them, like
@@ -279,13 +276,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if error:
         print(error, file=sys.stderr)
         return 2
-    handler = {
-        "seq": _cmd_seq,
-        "locate": _cmd_locate,
-        "tree": _cmd_tree,
-        "verify": _cmd_verify,
-        "table": _cmd_table,
-    }[args.command]
     # outputs are exact integers of any size; all decimal input was parsed
     # above, under the interpreter's int/str digit limit
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
@@ -293,7 +283,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         sys.set_int_max_str_digits(0)
     lost = False
     try:
-        return handler(args)
+        return args.handler(args)
     except KeyboardInterrupt:
         print(f"{args.command}: interrupted", file=sys.stderr)
         return 130
@@ -305,7 +295,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if limit:
             sys.set_int_max_str_digits(limit)
     cause = "a worker process was lost" if lost else "out of memory"
-    flag = "--bound or --workers" if lost else MEMORY_FLAGS[args.command]
+    flag = "--bound or --workers" if lost else args.memory_flag
     print(f"{args.command}: {cause}; lower {flag}", file=sys.stderr)
     return 2
 

@@ -21,6 +21,7 @@ Check IDs (stable, individually addressable from the CLI):
 """
 
 import functools
+import itertools
 import os
 import signal
 import time
@@ -110,22 +111,14 @@ def table_a_rows(q_max: int = 15) -> List[tuple]:
 
 
 def table_b_cells(x_max: int = 8, q_max: int = 15) -> List[tuple]:
-    """Defined connection cells (a, b, x, y, m) from the closed forms.
+    """Defined connection cells (a, b, x, y, m) that iter_connections enumerates.
 
     a is the parent matrix branch, b the child branch, m the child column
     attaching to parent cell (x, y); cells whose entry is a multiple of 3
     are skipped. Ordered by (a, x, y).
     """
-    cells = []
-    for parent_a in (1, 5):
-        for x in range(x_max + 1):
-            for y in range(q_max + 1):
-                for b in (1, 5):
-                    m = child_column(b, parent_a, x, y)
-                    if m is not None:
-                        cells.append((parent_a, b, x, y, m))
-                        break
-    return cells
+    return [(c.parent_a, c.child_a, c.x, c.y, c.m)
+            for parent_a in (1, 5) for c in iter_connections(parent_a, x_max, q_max=q_max)]
 
 
 def check_partition(bound: int = 10_000) -> PropertyCheck:
@@ -285,20 +278,15 @@ def check_connection_coverage(bound: int = 10_000) -> PropertyCheck:
             covered[c.child_a][c.m] = 1
             cells += 1
     witnesses = 0
-    for m in range(bound + 1):
-        for child_a in (1, 5):
-            if not covered[child_a][m]:
-                if not ce.add(m=m, child=child_a, problem="no connection found"):
-                    break
-            b, x, y = locate(6 * m + child_a)
-            if child_column(child_a, b, x, y) != m:
-                if not ce.add(m=m, child=child_a, problem="witness mismatch",
-                              cell=(b, x, y)):
-                    break
-            witnesses += 1
-        else:
-            continue
-        break
+    for m, child_a in itertools.product(range(bound + 1), (1, 5)):
+        if not covered[child_a][m] and not ce.add(m=m, child=child_a,
+                                                  problem="no connection found"):
+            break
+        b, x, y = locate(6 * m + child_a)
+        if child_column(child_a, b, x, y) != m and not ce.add(
+                m=m, child=child_a, problem="witness mismatch", cell=(b, x, y)):
+            break
+        witnesses += 1
     return ce.result("T2.12", f"m<={bound}",
                      {"cells_enumerated": cells, "witnesses": witnesses})
 
@@ -440,25 +428,11 @@ class SweepReport:
         return self.undecided == 0
 
     def as_dict(self) -> dict:
-        # elapsed and worker count omitted: byte-identical across runs
-        return {
-            "lo": self.lo,
-            "hi": self.hi,
-            "budget": self.budget,
-            "decided": self.decided,
-            "undecided": self.undecided,
-            "max_stopping_time": (
-                None
-                if self.max_stopping_time is None
-                else {"steps": self.max_stopping_time[0], "seed": self.max_stopping_time[1]}
-            ),
-            "max_excursion": (
-                None
-                if self.max_excursion is None
-                else {"value": self.max_excursion[0], "seed": self.max_excursion[1]}
-            ),
-            "undecided_seeds": self.undecided_seeds,
-        }
+        doc = PropertyCheck.as_dict(self)  # its fields but elapsed
+        for key, name in (("max_stopping_time", "steps"), ("max_excursion", "value")):
+            if doc[key] is not None:
+                doc[key] = {name: doc[key][0], "seed": doc[key][1]}
+        return doc
 
 
 @functools.cache
@@ -486,8 +460,8 @@ def _jump_table() -> tuple:
     return tuple(p3), tuple(steps), tuple(d), tuple(ua), tuple(ub)
 
 
-def _sweep_chunk(args) -> dict:
-    """Stats for seeds in [lo, hi], walked from odd term to odd term.
+def _sweep_chunk(args) -> SweepReport:
+    """The report of the seeds in [lo, hi], walked from odd term to odd term.
 
     A step from odd m is 3m+1 followed by its halvings, 1 + z plain steps
     whose largest value is 3m+1, so a trajectory's maximum is the seed or
@@ -567,14 +541,8 @@ def _sweep_chunk(args) -> dict:
                 record = mx
         elif len(undecided) < MAX_COUNTEREXAMPLES:
             undecided.append(seed)
-    return {
-        "decided": decided,
-        "undecided": (hi - lo + 1) - decided,
-        "best_steps": best_steps,
-        "best_exc": best_exc,
-        "undecided_seeds": undecided,
-        "elapsed": time.perf_counter() - t0,
-    }
+    return SweepReport(lo, hi, budget, decided, (hi - lo + 1) - decided, best_steps, best_exc,
+                       undecided, time.perf_counter() - t0)
 
 
 def _pool_size(workers: int, tasks: int) -> int:
@@ -598,25 +566,25 @@ def _sweep_shards(lo: int, hi: int, budget: int, workers: int) -> List[tuple]:
     return [("sweep", (a, min(a + size - 1, hi), budget)) for a in range(lo, hi + 1, size)]
 
 
-def _sweep_report(lo: int, hi: int, budget: int, results: List[dict]) -> SweepReport:
-    """Merge shard results, in shard order, into one report; its elapsed is
-    the sum of the shards' times. Shards ascend, so the first maximum over
-    them keeps the smaller seed on a tie."""
+# shards is annotated as a string for the reason run_suite gives
+def _sweep_report(shards: "List[SweepReport]") -> SweepReport:
+    """Merge the reports of ascending, adjacent shards, in shard order, into
+    the report of their union; its elapsed is the sum of the shards' times.
+    The first maximum over the shards keeps the smaller seed on a tie."""
 
-    def first_max(key):
-        bests = [r[key] for r in results if r[key] is not None]
-        return max(bests, key=lambda best: best[0], default=None)
+    def first_max(bests):
+        return max(filter(None, bests), key=lambda best: best[0], default=None)
 
     return SweepReport(
-        lo,
-        hi,
-        budget,
-        sum(r["decided"] for r in results),
-        sum(r["undecided"] for r in results),
-        first_max("best_steps"),
-        first_max("best_exc"),
-        [n for r in results for n in r["undecided_seeds"]][:MAX_COUNTEREXAMPLES],
-        sum(r["elapsed"] for r in results),
+        shards[0].lo,
+        shards[-1].hi,
+        shards[0].budget,
+        sum(r.decided for r in shards),
+        sum(r.undecided for r in shards),
+        first_max(r.max_stopping_time for r in shards),
+        first_max(r.max_excursion for r in shards),
+        [n for r in shards for n in r.undecided_seeds][:MAX_COUNTEREXAMPLES],
+        sum(r.elapsed for r in shards),
     )
 
 
@@ -674,7 +642,7 @@ def sweep_convergence(
     may run on) shards run, one process each.
     """
     shards = _sweep_shards(lo, hi, budget, workers)
-    return _sweep_report(lo, hi, budget, _run_tasks(shards, workers))
+    return _sweep_report(_run_tasks(shards, workers))
 
 
 # the return annotation is a string: typing caches List[PropertyCheck],
@@ -708,7 +676,7 @@ def run_suite(
     order = sorted(range(len(checks)), key=lambda i: -CHECKS.get(checks[i], (None, 0))[1])
     results = _run_tasks(shards + [(checks[i], bound) for i in order], workers)
     done = dict(zip(order, results[len(shards):]))
-    sweep = _sweep_report(1, hi, budget, results[:len(shards)]) if shards else None
+    sweep = _sweep_report(results[:len(shards)]) if shards else None
     return [done[i] for i in range(len(checks))], sweep
 
 

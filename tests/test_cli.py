@@ -1,6 +1,7 @@
 import contextlib
 import decimal
 import json
+import multiprocessing
 import os
 import random
 import signal
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from syrtree import verify
+from syrtree import cli, verify
 from syrtree.cli import main
 from syrtree.sequences import collatz_expand, stats, syr_seq_oracle
 
@@ -342,6 +343,21 @@ def test_out_of_memory_is_a_one_line_usage_error(argv, flag):
     assert "out of memory" in proc.stderr and flag in proc.stderr
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["seq", "7"], "--max-steps"),
+    (["locate", "7"], "the seed"),
+    (["tree"], "--levels or --max-value"),
+    (["verify", "--suite", "L2.1"], "--bound"),
+    (["table", "--which", "A"], "--rows"),
+])
+def test_out_of_memory_names_each_commands_flag(argv, flag, capsys, monkeypatch):
+    def out_of_memory(_args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "_cmd_" + argv[0], out_of_memory)
+    assert run(capsys, *argv) == (2, "", f"{argv[0]}: out of memory; lower {flag}\n")
+
+
 def test_lost_worker_is_a_one_line_usage_error(capsys, monkeypatch):
     # the pool raises this when the OS kills a worker; it used to end in a
     # traceback with exit 1, which means "check failed"
@@ -357,21 +373,44 @@ def test_lost_worker_is_a_one_line_usage_error(capsys, monkeypatch):
     assert "--bound" in err and "--workers" in err
 
 
+def _group_size(group: int) -> int:
+    """The number of processes in a process group, read from /proc/<pid>/stat."""
+    size = 0
+    for pid in filter(str.isdigit, os.listdir("/proc")):
+        with contextlib.suppress(OSError):  # the process ended meanwhile
+            stat = Path(f"/proc/{pid}/stat").read_text()
+            # the fields after the parenthesized command: state, ppid, pgrp
+            size += int(stat.rsplit(")", 1)[1].split()[2]) == group
+    return size
+
+
+# runs the CLI under the start method that Linux defaults to from Python 3.14
+FORKSERVER_MAIN = ("import multiprocessing, sys; "
+                   "multiprocessing.set_start_method('forkserver'); "
+                   "from syrtree import cli; sys.exit(cli.main(sys.argv[1:]))")
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux") or len(os.sched_getaffinity(0)) < 2,
                     reason="reads /proc, and needs a pool of two workers")
-def test_ctrl_c_is_one_line_and_exit_130():
+@pytest.mark.parametrize("start, method", [
+    (["-m", "syrtree.cli"], multiprocessing.get_all_start_methods()[0]),  # the default
+    (["-c", FORKSERVER_MAIN], "forkserver"),
+], ids=["default", "forkserver"])
+def test_ctrl_c_is_one_line_and_exit_130(start, method):
     # a terminal sends Ctrl-C's SIGINT to the whole foreground process group,
     # pool workers included
     proc = subprocess.Popen(
-        [sys.executable, "-m", "syrtree.cli", "verify", "--suite", "sweep",
-         "--bound", str(10**8), "--workers", "2"],
+        [sys.executable] + start + ["verify", "--suite", "sweep",
+                                    "--bound", str(10**8), "--workers", "2"],
         env=_cli_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         start_new_session=True)
     group = proc.pid  # a new session's leader leads its own process group
+    # the CLI and two workers, then spawn's and forkserver's resource
+    # tracker, then forkserver's fork server
+    size = 3 + (method != "fork") + (method == "forkserver")
     try:
-        children = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
         deadline = time.monotonic() + 60
-        while proc.poll() is None and not children.read_text().split():
+        while proc.poll() is None and _group_size(group) < size:
             assert time.monotonic() < deadline, "the pool never started"
             time.sleep(0.01)
         os.killpg(group, signal.SIGINT)

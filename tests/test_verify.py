@@ -1,7 +1,11 @@
+import gc
+import importlib
 import itertools
 import json
 import re
+import sys
 import tracemalloc
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +13,7 @@ from hypothesis import strategies as st
 
 from syrtree import verify
 from syrtree.cli import main
-from syrtree.matrices import Coord, entry
+from syrtree.matrices import Coord, child_column, entry, iter_connections
 from syrtree.sequences import col_seq, walk
 from syrtree.verify import (
     MAX_COUNTEREXAMPLES,
@@ -177,6 +181,59 @@ def test_check_connection_coverage_passes():
     c = check_connection_coverage(2000)
     assert c.passed
     assert c.details["witnesses"] == 2 * 2001
+
+
+def dropped_sevens(parent_a, *args, **kw):
+    """iter_connections without the cells whose child column m is 3 mod 7."""
+    return (c for c in iter_connections(parent_a, *args, **kw) if c.m % 7 != 3)
+
+
+def bumped_elevens(child_a, parent_a, x, q):
+    """child_column, one too high for child 5 at the columns m = 0 mod 11."""
+    m = child_column(child_a, parent_a, x, q)
+    return m + 1 if child_a == 5 and m is not None and m % 11 == 0 else m
+
+
+NO_CONNECTION = "no connection found"
+MISMATCH = "witness mismatch"
+
+
+# T2.12 at bound 200 under injected faults: (patches, cells enumerated,
+# witnesses by counterexample cap, the first ten counterexamples as
+# (m, child, problem, cell))
+T2_12_FAULTS = {
+    "dropped": ({"iter_connections": dropped_sevens}, 344, {3: 20, 4: 21, 10: 63},
+                [(m, child, NO_CONNECTION, None) for m in (3, 10, 17, 24, 31) for child in (1, 5)]),
+    "bumped": ({"child_column": bumped_elevens}, 402, {3: 45, 4: 67, 10: 199},
+               [(0, 5, MISMATCH, (1, 1, 0)), (11, 5, MISMATCH, (5, 0, 17)),
+                (22, 5, MISMATCH, (1, 0, 17)), (33, 5, MISMATCH, (5, 0, 50)),
+                (44, 5, MISMATCH, (5, 1, 16)), (55, 5, MISMATCH, (5, 0, 83)),
+                (66, 5, MISMATCH, (1, 0, 50)), (77, 5, MISMATCH, (5, 0, 116)),
+                (88, 5, MISMATCH, (1, 2, 4)), (99, 5, MISMATCH, (5, 0, 149))]),
+    "both": ({"iter_connections": dropped_sevens, "child_column": bumped_elevens}, 344,
+             {3: 7, 4: 20, 10: 48},
+             [(0, 5, MISMATCH, (1, 1, 0)), (3, 1, NO_CONNECTION, None),
+              (3, 5, NO_CONNECTION, None), (10, 1, NO_CONNECTION, None),
+              (10, 5, NO_CONNECTION, None), (11, 5, MISMATCH, (5, 0, 17)),
+              (17, 1, NO_CONNECTION, None), (17, 5, NO_CONNECTION, None),
+              (22, 5, MISMATCH, (1, 0, 17)), (24, 1, NO_CONNECTION, None)]),
+}
+
+
+@pytest.mark.parametrize("cap", [3, 4, 10])
+@pytest.mark.parametrize("fault", list(T2_12_FAULTS))
+def test_connection_coverage_reports_injected_faults(fault, cap, monkeypatch):
+    # cap 3 with "dropped" stops between child 1 and child 5 of m = 10
+    patches, cells, witnesses, found = T2_12_FAULTS[fault]
+    for name, fake in patches.items():
+        monkeypatch.setattr(verify, name, fake)
+    monkeypatch.setattr(verify, "MAX_COUNTEREXAMPLES", cap)
+    expected = [dict(m=m, child=child, problem=problem, **({"cell": cell} if cell else {}))
+                for m, child, problem, cell in found[:cap]]
+    assert check_connection_coverage(200).as_dict() == {
+        "id": "T2.12", "bound": "m<=200", "passed": False, "counterexamples": expected,
+        "details": {"cells_enumerated": cells, "witnesses": witnesses[cap]},
+    }
 
 
 def test_check_cycle_freedom_passes():
@@ -432,7 +489,7 @@ def test_sweep_excursion_tie_keeps_the_earlier_seed(monkeypatch):
     # with the memo window at 1, seed 5 walks through 16 itself rather than
     # hitting a slot that seed 3 filled, and so ties 3's record of 16
     monkeypatch.setattr(verify, "MEMO_MAX", 1)
-    assert verify._sweep_chunk((3, 5, 100))["best_exc"] == (16, 3)
+    assert verify._sweep_chunk((3, 5, 100)).max_excursion == (16, 3)
 
 
 def test_sweep_memoization_does_not_change_outcomes():
@@ -487,12 +544,10 @@ def test_sweep_report_keeps_the_earlier_shard_on_ties():
     # hand-built shards of [3, 6], tied on both records: the earlier,
     # smaller seed wins each
     shards = [
-        {"decided": 2, "undecided": 0, "best_steps": (7, 3), "best_exc": (16, 3),
-         "undecided_seeds": [], "elapsed": 0.0},
-        {"decided": 2, "undecided": 0, "best_steps": (7, 5), "best_exc": (16, 5),
-         "undecided_seeds": [], "elapsed": 0.0},
+        verify.SweepReport(3, 4, 100, 2, 0, (7, 3), (16, 3)),
+        verify.SweepReport(5, 6, 100, 2, 0, (7, 5), (16, 5)),
     ]
-    r = verify._sweep_report(3, 6, 100, shards)
+    r = verify._sweep_report(shards)
     assert (r.max_stopping_time, r.max_excursion) == ((7, 3), (16, 3))
 
 
@@ -644,6 +699,41 @@ def test_report_dicts_have_no_timing():
     assert check.elapsed > 0
     assert list(check.as_dict()) == ["id", "bound", "passed", "counterexamples", "details"]
     assert "elapsed" not in sweep_convergence(1, 10).as_dict()
+
+
+# one function of each module, found again in a fresh import by (module, name)
+FRESH_IMPORT_PROBES = [("arith", "syr"), ("matrices", "_locate"), ("sequences", "walk"),
+                       ("tree", "build_tree"), ("verify", "run_check"), ("cli", "main")]
+
+
+def _fresh_import_refs():
+    """Weak references to the probes of a fresh import of the package."""
+    importlib.import_module("syrtree.cli")
+    return [weakref.ref(getattr(sys.modules["syrtree." + mod], name))
+            for mod, name in FRESH_IMPORT_PROBES]
+
+
+def _drop_syrtree():
+    """Drop the package and its modules from sys.modules; returns them."""
+    names = [name for name in sys.modules if name.partition(".")[0] == "syrtree"]
+    return {name: sys.modules.pop(name) for name in names}
+
+
+def test_a_fresh_import_frees_the_copy_before_it():
+    # typing caches each subscripted generic, such as List[SweepReport],
+    # for the life of the process: one in an annotation that Python
+    # evaluates would keep every copy of the module, and all it imports,
+    # alive after a fresh import replaces it
+    originals = _drop_syrtree()
+    try:
+        refs = _fresh_import_refs()
+        _drop_syrtree()
+        gc.collect()
+        alive = [probe for probe, ref in zip(FRESH_IMPORT_PROBES, refs) if ref() is not None]
+        assert alive == []
+    finally:
+        _drop_syrtree()
+        sys.modules.update(originals)
 
 
 def test_run_check_dispatch():
