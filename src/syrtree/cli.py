@@ -4,7 +4,8 @@ Text output is human-first; json, csv and dot outputs are deterministic
 byte for byte for fixed flags (timing and worker count never leak into
 machine formats). Exit codes: 0 pass/success, 1 check failure, 2 usage
 error, out of memory or a lost worker process, 3 undecided at budget
-(with --strict for seq), 130 interrupted (Ctrl-C).
+(with --strict for seq), 130 interrupted (Ctrl-C), 141 stdout closed by
+its reader (as by `| head`; 128 + SIGPIPE, printing nothing).
 """
 
 import argparse
@@ -148,18 +149,19 @@ def _cmd_seq(args) -> int:
     else:
         seq = col_seq(args.n, args.max_steps)
     if args.format == "text":
-        print(" ".join(sequences.decimal_strings(seq.terms)))
         st = stats(seq)
         stop = "undecided" if st.stopping_time is None else st.stopping_time
-        print(
-            f"steps={seq.steps} stopping_time={stop} max_term={st.max_term} "
-            f"odd_steps={st.odd_steps}" + (" truncated" if seq.truncated else ""),
-            file=sys.stderr,
-        )
+        # formed first: a term over the int/str digit limit raises at max_term
+        summary = (f"steps={seq.steps} stopping_time={stop} max_term={st.max_term} "
+                   f"odd_steps={st.odd_steps}" + (" truncated" if seq.truncated else ""))
+        sys.stdout.writelines(sequences.joined_decimals(seq.terms, " "))
+        print()
+        print(summary, file=sys.stderr)
     elif args.format == "json":
-        print(sequences.to_json(seq, include_terms=not args.no_terms))
+        sequences.to_json(seq, include_terms=not args.no_terms, out=sys.stdout)
+        print()
     else:
-        sys.stdout.write(sequences.to_csv([seq], include_terms=not args.no_terms))
+        sequences.to_csv([seq], include_terms=not args.no_terms, out=sys.stdout)
     return 3 if seq.truncated and args.strict else 0
 
 
@@ -283,7 +285,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         sys.set_int_max_str_digits(0)
     lost = False
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # in the guard: a reader gone early (| head) raises here
+        return code
+    except BrokenPipeError:  # fd 1 to devnull, so the last flush at exit cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except KeyboardInterrupt:
         print(f"{args.command}: interrupted", file=sys.stderr)
         return 130

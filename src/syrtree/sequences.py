@@ -13,11 +13,11 @@ by inserting the even intermediates, and ``col_seq`` handles arbitrary
 seeds: even seeds are halved down to their odd part first, then continue
 as the odd case.
 
-``to_json``, ``to_csv`` and the CLI print terms of any size exactly.
-``decimal_strings`` gives them the decimal form of every term in time
+``to_json``, ``to_csv`` and the CLI print terms of any size exactly, in
+pieces of about ``PIECE`` characters, so printing costs about what the terms
+hold. ``iter_decimal_strings`` gives them every term's decimal form in time
 linear in the total length: it converts the first term once and derives
-each later string from the one before, where ``str()`` would convert each
-term from binary in time quadratic in its length.
+each later string from the one before, where ``str()`` is quadratic.
 """
 
 import decimal
@@ -26,7 +26,7 @@ import sys
 from dataclasses import dataclass
 from decimal import Decimal
 from operator import itemgetter
-from typing import Iterator, List, NamedTuple, Optional, Tuple
+from typing import Iterable, Iterator, List, NamedTuple, Optional, TextIO, Tuple
 
 from .arith import DEFAULT_MAX_STEPS, _require_odd, v2
 from .arith import syr as _syr
@@ -169,16 +169,16 @@ _EXACT = decimal.Context(
            decimal.Inexact, decimal.Rounded])
 
 
-def decimal_strings(terms: List[int]) -> List[str]:
-    """The decimal strings of positive integer terms: list(map(str, terms)),
-    in time linear in their total length.
+def iter_decimal_strings(terms: Iterable[int]) -> Iterator[str]:
+    """The decimal strings of positive integer terms, map(str, terms), in
+    time linear in their total length.
 
     The first term is converted once. Each later term t is carried as a
     Decimal derived from the previous term p's Decimal d by the relation
     the ints themselves satisfy, tested exactly on the ints:
     t == (3p+1)/2^z for some z >= 0 gives (d*3+1)//2^z, t == p/2 gives
     d//2, and any other pair restarts from Decimal(t). Proof that each
-    string is str(t), by induction along the list: if d == p, the
+    string is str(t), by induction along the terms: if d == p, the
     operation applied to d is the one that maps p to t. Its quotient is an
     integer, so integer division gives it whole, and the exact context
     gives every result exactly or raises; so the new d == t. A restart is
@@ -186,80 +186,103 @@ def decimal_strings(terms: List[int]) -> List[str]:
     its plain digits, and libmpdec does each operation and each str() in
     time linear in the term's length.
 
-    Like str(), this raises ValueError when a term has more digits than a
+    Like str(), this raises ValueError at a term with more digits than a
     nonzero sys.get_int_max_str_digits().
     """
-    out = []
-    with decimal.localcontext(_EXACT):
-        p = d = None
-        for t in terms:
-            if p is None:
-                d = Decimal(t)
-            elif p & 1 == 0 and t << 1 == p:
-                d = d // 2
-            else:
-                m = 3 * p + 1
-                z = m.bit_length() - t.bit_length()
-                if z >= 0 and t << z == m:
-                    d = d * 3 + 1
-                    if z:
-                        d = d // (1 << z)
-                else:
-                    d = Decimal(t)
-            out.append(str(d))
-            p = t
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
-    if limit and max(map(len, out), default=0) > limit:
-        raise ValueError(f"Exceeds the limit ({limit} digits) for integer string "
-                         "conversion; use sys.set_int_max_str_digits() to increase the limit")
-    return out
+    # the context by name: a generator paused in localcontext() leaves it set
+    div, add, mul, one, two, three = (_EXACT.divide_int, _EXACT.add, _EXACT.multiply,
+                                      Decimal(1), Decimal(2), Decimal(3))
+    p = d = None
+    for t in terms:
+        if p is None:
+            d = Decimal(t)
+        elif p & 1 == 0 and t << 1 == p:
+            d = div(d, two)
+        else:
+            m = 3 * p + 1
+            z = m.bit_length() - t.bit_length()
+            if z >= 0 and t << z == m:
+                d = add(mul(d, three), one)
+                if z:
+                    d = div(d, 1 << z)
+            else:
+                d = Decimal(t)
+        s = str(d)
+        if limit and len(s) > limit:
+            raise ValueError(f"Exceeds the limit ({limit} digits) for integer string "
+                             "conversion; use sys.set_int_max_str_digits() to increase the limit")
+        yield s
+        p = t
 
 
-def _separated(strs: List[str], sep: str) -> List[str]:
-    """strs with sep between each two, to be joined once with the rest."""
-    out = [sep] * (2 * len(strs) - 1)
-    out[::2] = strs
-    return out
+def decimal_strings(terms: List[int]) -> List[str]:
+    """list(iter_decimal_strings(terms))."""
+    return list(iter_decimal_strings(terms))
 
 
-def to_json(s, include_terms: bool = True) -> str:
-    """One JSON line per sequence, as json.dumps writes it with sorted keys
-    and no spaces; the key order is fixed for golden files.
+PIECE = 1 << 20  # characters per piece of a document written to a stream
 
-    The terms are written by decimal_strings, and the line is joined once.
-    """
+
+def joined_decimals(terms: Iterable[int], sep: str) -> Iterator[str]:
+    """sep.join(decimal_strings(terms)) in pieces of about PIECE characters:
+    a piece ends with the first term that takes it to PIECE."""
+    buf, size = [], 0
+    for s in iter_decimal_strings(terms):
+        buf.append(s)
+        size += len(s) + 1
+        if size >= PIECE:
+            yield sep.join(buf)
+            buf, size = [""], 0  # so the next piece opens with sep
+    yield sep.join(buf)
+
+
+def _json_pieces(s, include_terms: bool) -> Iterator[str]:
     st = stats(s)
     stop = "null" if st.stopping_time is None else str(st.stopping_time)
-    parts = ['{"kind":', json.dumps(s.kind), ',"seed":', str(s.seed),
-             ',"stats":{"max_term":', str(st.max_term), ',"odd_steps":', str(st.odd_steps),
-             ',"stopping_time":', stop, '},"steps":', str(s.steps)]
+    # str(max_term) is the longest string: an over-limit term raises here
+    yield "".join(['{"kind":', json.dumps(s.kind), ',"seed":', str(s.seed),
+                   ',"stats":{"max_term":', str(st.max_term), ',"odd_steps":',
+                   str(st.odd_steps), ',"stopping_time":', stop, '},"steps":', str(s.steps)])
     if include_terms:
-        parts.append(',"terms":[')
-        parts += _separated(decimal_strings(s.terms), ",")
-        parts.append("]")
-    parts += [',"truncated":', json.dumps(s.truncated), "}"]
-    return "".join(parts)
+        yield ',"terms":['
+        yield from joined_decimals(s.terms, ",")
+        yield "]"
+    yield ',"truncated":' + json.dumps(s.truncated) + "}"
+
+
+def to_json(s, include_terms: bool = True, out: Optional[TextIO] = None) -> Optional[str]:
+    """One JSON line per sequence, as json.dumps writes it with sorted keys
+    and no spaces; the key order is fixed for golden files. Returned without
+    out; with out, written there in pieces of about PIECE characters and None
+    returned. A term over the int/str digit limit raises ValueError, as str()
+    would, before any piece is written.
+    """
+    pieces = _json_pieces(s, include_terms)
+    return "".join(pieces) if out is None else out.writelines(pieces)
 
 
 CSV_FIELDS = ["seed", "stopping_time", "max_term", "terms"]
 
 
-def to_csv(seqs, include_terms: bool = True) -> str:
-    """CSV with one row per sequence: seed, stopping_time, max_term[, terms].
-
-    Every field is digits, spaces or "undecided", none of which csv quotes,
-    so the document is joined directly, once (csv.writer copies a
-    multi-megabyte terms field character by character). The terms are
-    written by decimal_strings.
-    """
-    fields = CSV_FIELDS if include_terms else CSV_FIELDS[:-1]
-    parts = [",".join(fields), "\n"]
+def _csv_pieces(seqs, include_terms: bool) -> Iterator[str]:
+    yield ",".join(CSV_FIELDS if include_terms else CSV_FIELDS[:-1]) + "\n"
     for s in seqs:
         st = stats(s)
         stop = "undecided" if st.stopping_time is None else str(st.stopping_time)
-        parts += [str(s.seed), ",", stop, ",", str(st.max_term)]
+        yield ",".join([str(s.seed), stop, str(st.max_term)])
         if include_terms:
-            parts.append(",")
-            parts += _separated(decimal_strings(s.terms), " ")
-        parts.append("\n")
-    return "".join(parts)
+            yield ","
+            yield from joined_decimals(s.terms, " ")
+        yield "\n"
+
+
+def to_csv(seqs, include_terms: bool = True, out: Optional[TextIO] = None) -> Optional[str]:
+    """CSV with one row per sequence: seed, stopping_time, max_term[, terms].
+
+    Returned or written as to_json, raising before any piece of a row with an
+    over-limit term. No field needs csv's quoting, being digits, spaces or
+    "undecided", and csv.writer would copy a long terms field char by char.
+    """
+    pieces = _csv_pieces(seqs, include_terms)
+    return "".join(pieces) if out is None else out.writelines(pieces)

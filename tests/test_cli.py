@@ -1,5 +1,7 @@
 import contextlib
 import decimal
+import hashlib
+import itertools
 import json
 import multiprocessing
 import os
@@ -100,6 +102,50 @@ def test_seq_prints_the_terms_str_prints(capsys, kind):
     for (fmt, no_terms), out in want.items():
         argv = ["seq", hex(n), "--kind", kind, "--format", fmt] + ["--no-terms"] * no_terms
         assert run(capsys, *argv)[:2] == (0, out)
+
+
+SEQ_SEEDS = {
+    "1": "1", "27": "27", "96": "96",
+    "3005-bit even": str((random.Random(3005).getrandbits(3000) | 1 << 2999) << 5),
+    "4000-bit odd": hex(random.Random(4000).getrandbits(4000) | 1 << 3999 | 1),
+}
+
+
+def seq_outputs_digest(run_cli, seed, kind):
+    """sha256 over the argv, exit code, stdout and stderr of seq with seed and
+    kind, in each format, with and without --no-terms and --strict, at
+    --max-steps 7 and the default; run_cli(*argv) gives (code, out, err)."""
+    digest = hashlib.sha256()
+    for fmt, no_terms, steps, strict in itertools.product(
+            ("text", "json", "csv"), (False, True), ("7", None), (False, True)):
+        argv = (["seq", seed, "--kind", kind, "--format", fmt] + ["--no-terms"] * no_terms
+                + ["--max-steps", steps] * (steps is not None) + ["--strict"] * strict)
+        code, out, err = run_cli(*argv)
+        for part in (" ".join(argv), str(code), out, err):
+            digest.update(part.encode() + b"\0")
+    return digest.hexdigest()
+
+
+# seq_outputs_digest of the CLI that joined each document whole before one
+# print; writing it in pieces must not change a byte
+SEQ_DIGESTS = {
+    ("1", "syr"): "f4870de7f064838d46cce45c093c1dd22da0f0a781d22ba988f622dd545977a2",
+    ("1", "col"): "dba1b90ec7efa68a7ddbc71872d2d11b021a43e698b95886145f6e8bceb863ef",
+    ("27", "syr"): "920d097e7817949830c2e6cdc15d33c20c79f9b27eaeec01d8aae39463bd4fc6",
+    ("27", "col"): "5ffdb8309d3a4324e233ecf7b892fe2259d51fa7015dff9ee91969f4b6af4657",
+    ("96", "syr"): "a4c230f92997215d7edc65daa7c6f5d3f88d5061a958a1e4380dc2a9022334e5",
+    ("96", "col"): "4d653991b89dc77cd866aede0326425b82cb8748d17aa9fa233ab05ff551e231",
+    ("3005-bit even", "syr"): "0aefb07ce5f6cd30e581bf57cb7cf89296c19586fd2bd1d22665ee73cf6967e9",
+    ("3005-bit even", "col"): "3606f84dac7580d2bf3516686f24c8ef92b3616d58ecfa4f70d1b06faf5afb48",
+    ("4000-bit odd", "syr"): "763130b157abbfe64b169f0bdd1fae3f6b03950a550420133f2e499794f473f2",
+    ("4000-bit odd", "col"): "76f3372cf7f3c937fab15d4fda6d0af80f46ade959234aa8cca0a37152e90a2b",
+}
+
+
+@pytest.mark.parametrize("seed, kind", list(SEQ_DIGESTS))
+def test_seq_outputs_are_byte_identical(seed, kind, capsys):
+    digest = seq_outputs_digest(lambda *argv: run(capsys, *argv), SEQ_SEEDS[seed], kind)
+    assert digest == SEQ_DIGESTS[seed, kind]
 
 
 def test_seq_over_limit_decimal_is_a_short_error(capsys):
@@ -341,6 +387,55 @@ def test_out_of_memory_is_a_one_line_usage_error(argv, flag):
     assert len(proc.stderr.splitlines()) == 1
     assert "Traceback" not in proc.stderr
     assert "out of memory" in proc.stderr and flag in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["seq", SEQ_SEEDS["4000-bit odd"], "--format", "json"],
+    ["seq", SEQ_SEEDS["4000-bit odd"], "--format", "text"],
+    ["table", "--which", "A", "--rows", "100000"],
+], ids=["seq-json", "seq-text", "table"])
+def test_a_closed_stdout_ends_quietly_with_exit_141(argv):
+    # each writes megabytes, past what the pipe holds; 141 is 128 + SIGPIPE,
+    # as 130 is 128 + SIGINT, and exit 1 would read as a failed check
+    with subprocess.Popen([sys.executable, "-m", "syrtree.cli"] + argv, env=_cli_env(),
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        try:
+            assert len(proc.stdout.read(5)) == 5
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == 141
+            assert proc.stderr.read() == b""
+        finally:
+            proc.kill()
+
+
+def _peak_rss(argv):
+    """Exit code and peak RSS (ru_maxrss) of syrtree <argv>, stdout discarded."""
+    with subprocess.Popen([sys.executable, "-m", "syrtree.cli"] + argv, env=_cli_env(),
+                          stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL) as proc:
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+    return proc.returncode, usage.ru_maxrss
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="reads a child's peak RSS from wait4")
+def test_printing_a_sequence_costs_about_what_its_terms_hold():
+    # the benchmark's 16000-bit probe: its 39,411 syr terms hold 43 MB as
+    # ints and print as 94 MB of decimal text; a document built whole before
+    # one print peaked at 5.6 times the --no-terms run
+    seed = hex(random.Random("explore-probe").getrandbits(16000) | (1 << 15999) | 1)
+    code, bare = _peak_rss(["seq", seed, "--kind", "syr", "--format", "json", "--no-terms"])
+    assert code == 0
+    for fmt in ("json", "csv", "text"):
+        code, peak = _peak_rss(["seq", seed, "--kind", "syr", "--format", fmt])
+        assert code == 0
+        assert peak < 1.3 * bare, fmt
+    # col expands its terms before printing, so its --no-terms run holds them all
+    col = ["seq", seed, "--kind", "col", "--format", "json", "--max-steps", "30000"]
+    code, bare = _peak_rss(col + ["--no-terms"])
+    assert code == 0
+    code, peak = _peak_rss(col)
+    assert code == 0
+    assert peak < 1.1 * bare
 
 
 @pytest.mark.parametrize("argv, flag", [

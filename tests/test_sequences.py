@@ -3,9 +3,11 @@ import io
 import json
 import random
 import sys
+import tracemalloc
 
 import pytest
 
+from syrtree import sequences
 from syrtree.arith import col_step, odd_part, v2
 from syrtree.matrices import Coord, entry
 from syrtree.sequences import (
@@ -217,6 +219,25 @@ def test_to_csv():
     assert trunc == "seed,stopping_time,max_term\n27,undecided,124\n"
 
 
+class Recorder(io.TextIOBase):
+    """A text stream that keeps each write apart, or only its length."""
+
+    def __init__(self, keep=True):
+        self.writes = []
+        self.keep = keep
+
+    def write(self, text):
+        self.writes.append(text if self.keep else len(text))
+        return len(text)
+
+
+def streamed(write):
+    """What write(out) writes to a text stream."""
+    out = Recorder()
+    assert write(out) is None
+    return "".join(out.writes)
+
+
 def csv_writer_reference(seqs, include_terms=True):
     """to_csv as csv.writer writes it, the reference for the joined rows."""
     buf = io.StringIO()
@@ -244,6 +265,8 @@ def test_to_csv_matches_csv_writer(include_terms):
     ]
     for seqs in batches:
         assert to_csv(seqs, include_terms) == csv_writer_reference(seqs, include_terms)
+        assert streamed(lambda out: to_csv(seqs, include_terms, out=out)) == \
+            csv_writer_reference(seqs, include_terms)
 
 
 def json_dumps_reference(s, include_terms=True):
@@ -264,6 +287,8 @@ def test_to_json_matches_json_dumps(include_terms):
               col_seq(96), syr_seq_model(big, max_steps=40), col_seq(big, max_steps=40),
               Sequence(7, [7, 22, 11, 34, 17, 100, 2, 1], False, 'k"\\nd')]:
         assert to_json(s, include_terms) == json_dumps_reference(s, include_terms)
+        assert streamed(lambda out: to_json(s, include_terms, out=out)) == \
+            json_dumps_reference(s, include_terms)
 
 
 def test_decimal_strings_of_no_terms():
@@ -288,9 +313,56 @@ def test_decimal_strings_keep_the_int_str_digit_limit(seed, over):
                     to_json(s, include_terms)
                 with pytest.raises(ValueError, match="limit"):
                     to_csv([s], include_terms)
+                # streamed: not a byte of the JSON line, and of the CSV only
+                # the header line, none of the row
+                out = io.StringIO()
+                with pytest.raises(ValueError, match="limit"):
+                    to_json(s, include_terms, out=out)
+                assert out.getvalue() == ""
+                with pytest.raises(ValueError, match="limit"):
+                    to_csv([s], include_terms, out=out)
+                assert out.getvalue() == csv_writer_reference([], include_terms)
         else:
             assert decimal_strings(s.terms) == list(map(str, s.terms))
             assert to_json(s) == json_dumps_reference(s)
             assert to_csv([s]) == csv_writer_reference([s])
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("piece", [1, 7, 4096])
+def test_documents_are_written_in_pieces_of_about_piece_characters(piece, monkeypatch):
+    # a small PIECE cuts the terms at many places; each cut must keep one
+    # separator between two terms, and no piece of terms may run past PIECE
+    # by more than its last term and separator
+    s = col_seq(random.Random(2000).getrandbits(2000) | 1)
+    monkeypatch.setattr(sequences, "PIECE", piece)
+    longest = len(str(max(s.terms))) + 1
+    for sep in (" ", ","):
+        pieces = list(sequences.joined_decimals(s.terms, sep))
+        assert "".join(pieces) == sep.join(map(str, s.terms))
+        assert max(map(len, pieces)) < piece + longest
+        assert len(pieces) > len("".join(pieces)) // (piece + longest)
+    for write, want in ((lambda out: to_json(s, out=out), json_dumps_reference(s)),
+                        (lambda out: to_csv([s], out=out), csv_writer_reference([s]))):
+        out = Recorder()
+        write(out)
+        assert "".join(out.writes) == want
+        assert len(out.writes) > len(want) // (piece + longest)
+
+
+def test_writing_a_document_holds_about_one_piece():
+    # the 4000-bit col sequence is 17 MB of decimal text; written to a
+    # stream, a document holds about one PIECE (1 MiB) of it at a time
+    # (the strings of one piece and their join) rather than all of it
+    s = col_seq(random.Random(4000).getrandbits(4000) | (1 << 3999) | 1)
+    for write in (lambda out: to_json(s, out=out), lambda out: to_csv([s], out=out)):
+        out = Recorder(keep=False)
+        tracemalloc.start()
+        try:
+            write(out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(out.writes) > 15 * 2**20
+        assert peak < 4 * 2**20

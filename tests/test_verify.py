@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from syrtree import verify
+from syrtree.arith import syr, syr_class
 from syrtree.cli import main
 from syrtree.matrices import Coord, child_column, entry, iter_connections
 from syrtree.sequences import col_seq, walk
@@ -169,6 +170,109 @@ def test_coverage_scan_stops_at_the_counterexample_cap(monkeypatch):
         assert got.as_dict() == plain_coverage(bound).as_dict(), bound
         assert [c["n"] for c in got.counterexamples] == list(range(803, 840, 4))
         assert got.details["odds_checked"] == (839 + 1) // 2
+
+
+def shifted_threes(a, q):
+    """syr_class, two too high for class 3 at q = 1 mod 8."""
+    value = syr_class(a, q)
+    return value + 2 if a == 3 and q % 8 == 1 else value
+
+
+def tripled_thirteen(n):
+    """syr, except that the image of 13 is 3 * syr(13) = 15, a multiple of 3."""
+    return 3 * syr(n) if n == 13 else syr(n)
+
+
+def s5_miss(t, lhs):
+    """L2.1's counterexample S5(4t+1) = lhs against S3(t) = lhs + 2."""
+    return {"t": t, "identity": "S5(4t+1)", "lhs": lhs, "rhs": lhs + 2,
+            "repro": "python -c 'from syrtree.arith import syr_class; "
+                     f"print(syr_class(5, {4 * t + 1}), {lhs + 2})'"}
+
+
+IMAGE_13 = {"t": 6, "value": 13, "image": 15, "identity": "image mod 3"}
+# the rows read off the faulty class after the scan: table A's row q = 1 and
+# S5(5) = S3(1)
+CLASS_ROWS = [{"q": 1, "row": (7, 19, 5, 23), "expected": (7, 17, 5, 23), "identity": "table A row"},
+              {"q": 5, "identity": "S5 duplication", "dup_class": 3}]
+# L2.1 at bound 40 under injected faults: (patches, the counterexamples at cap 10)
+L2_1_FAULTS = {
+    "class": ({"syr_class": shifted_threes},
+              [s5_miss(t, lhs) for t, lhs in ((1, 17), (9, 113), (17, 209), (25, 305), (33, 401))]
+              + CLASS_ROWS),
+    "image": ({"syr": tripled_thirteen}, [IMAGE_13]),
+    "both": ({"syr_class": shifted_threes, "syr": tripled_thirteen},
+             [s5_miss(1, 17), IMAGE_13]
+             + [s5_miss(t, lhs) for t, lhs in ((9, 113), (17, 209), (25, 305), (33, 401))]
+             + CLASS_ROWS),
+}
+
+
+@pytest.mark.parametrize("cap", [3, 10])
+@pytest.mark.parametrize("fault", list(L2_1_FAULTS))
+def test_check_partition_reports_injected_faults(fault, cap, monkeypatch):
+    # cap 3 ends the scan early, and the rows after it are not recorded
+    patches, found = L2_1_FAULTS[fault]
+    for name, fake in patches.items():
+        monkeypatch.setattr(verify, name, fake)
+    monkeypatch.setattr(verify, "MAX_COUNTEREXAMPLES", cap)
+    assert check_partition(40).as_dict() == {
+        "id": "L2.1", "bound": "t<=40", "passed": False, "counterexamples": found[:cap],
+        "details": {"identities_checked": 164, "table_rows": 16},
+    }
+
+
+def bumped_cell(a, p, q):
+    """entry, one too high at the cell (5, 2, 3)."""
+    return entry(a, p, q) + ((a, p, q) == (5, 2, 3))
+
+
+def lowered_cell(child_a, parent_a, x, q):
+    """child_column, one too low for child 1 of parent 1 at the cell (2, 5)."""
+    m = child_column(child_a, parent_a, x, q)
+    return m - 1 if (child_a, parent_a, x, q) == (1, 1, 2, 5) else m
+
+
+def dropped_anchor(parent_a, *args, **kw):
+    """iter_connections without table B's anchor cell (5, 1, 0, 4, 3)."""
+    return (c for c in iter_connections(parent_a, *args, **kw)
+            if (c.parent_a, c.child_a, c.x, c.y) != (5, 1, 0, 4))
+
+
+def closed_form_miss(child, parent, x, q, closed, direct):
+    """T2.11's counterexample for one connection cell."""
+    return {"child": child, "parent": parent, "x": x, "q": q, "closed": closed,
+            "direct": direct,
+            "repro": "python -c 'from syrtree.matrices import child_column, entry; "
+                     f"print(child_column({child}, {parent}, {x}, {q}), entry({parent}, {x}, {q}))'"}
+
+
+ENTRY_MISS = {"cell": (5, 2, 3), "closed": 246, "iterated": 245}
+COLUMN_MISS = closed_form_miss(1, 1, 2, 5, 109, 110)
+ANCHOR_MISSES = [closed_form_miss(1, 5, 0, 4, 3, None),
+                 {"anchor": (5, 1, 0, 4, 3), "problem": "missing from regenerated table"}]
+# T2.11 at its default bounds under injected faults: (patches, the
+# counterexamples at cap 10, table anchors found)
+T2_11_FAULTS = {
+    "entry": ({"entry": bumped_cell}, [ENTRY_MISS], 4),
+    "column": ({"child_column": lowered_cell}, [COLUMN_MISS], 4),
+    "anchor": ({"iter_connections": dropped_anchor}, ANCHOR_MISSES, 3),
+    "all": ({"entry": bumped_cell, "child_column": lowered_cell,
+             "iter_connections": dropped_anchor}, [ENTRY_MISS, COLUMN_MISS] + ANCHOR_MISSES, 3),
+}
+
+
+@pytest.mark.parametrize("cap", [3, 10])
+@pytest.mark.parametrize("fault", list(T2_11_FAULTS))
+def test_check_closed_forms_reports_injected_faults(fault, cap, monkeypatch):
+    patches, found, anchors = T2_11_FAULTS[fault]
+    for name, fake in patches.items():
+        monkeypatch.setattr(verify, name, fake)
+    monkeypatch.setattr(verify, "MAX_COUNTEREXAMPLES", cap)
+    assert check_closed_forms().as_dict() == {
+        "id": "T2.11", "bound": "p<=8,q<=64", "passed": False, "counterexamples": found[:cap],
+        "details": {"entries_checked": 1170, "cells_checked": 2340, "table_anchors": anchors},
+    }
 
 
 def test_check_closed_forms_passes():
