@@ -191,7 +191,7 @@ def _cmd_locate(args) -> int:
 def _cmd_tree(args) -> int:
     t = build_tree(args.levels, args.max_p, args.max_value,
                    include_black=args.include_black)
-    sys.stdout.write(export(t, args.format, include_black=args.include_black).decode())
+    sys.stdout.write(export(t, args.format).decode())
     return 0
 
 
@@ -265,7 +265,7 @@ def _cmd_table(args) -> int:
             out.write(",".join(str(v) for v in row) + "\n")
     else:
         out.write("a,b,x,y,m\n")
-        for cell in verify.table_b_cells(8, args.rows - 1):
+        for cell in verify.table_b_cells(args.rows - 1):
             out.write(",".join(str(v) for v in cell) + "\n")
     return 0
 

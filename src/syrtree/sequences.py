@@ -216,16 +216,11 @@ def iter_decimal_strings(terms: Iterable[int]) -> Iterator[str]:
         p = t
 
 
-def decimal_strings(terms: List[int]) -> List[str]:
-    """list(iter_decimal_strings(terms))."""
-    return list(iter_decimal_strings(terms))
-
-
 PIECE = 1 << 20  # characters per piece of a document written to a stream
 
 
 def joined_decimals(terms: Iterable[int], sep: str) -> Iterator[str]:
-    """sep.join(decimal_strings(terms)) in pieces of about PIECE characters:
+    """sep.join(iter_decimal_strings(terms)) in pieces of about PIECE characters:
     a piece ends with the first term that takes it to PIECE."""
     buf, size = [], 0
     for s in iter_decimal_strings(terms):

@@ -80,11 +80,6 @@ def children(c: ComponentId, max_p: int, max_value: Optional[int] = None) -> Lis
     return _column(c, max_p, max_value)[0]
 
 
-def black_entries(c: ComponentId, max_p: int, max_value: Optional[int] = None) -> List[Tuple[int, int]]:
-    """(p, value) pairs of the column's multiples of 3 within the bounds."""
-    return _column(c, max_p, max_value)[1]
-
-
 @dataclass
 class Tree:
     """A bounded expansion of the connection tree.
@@ -102,9 +97,6 @@ class Tree:
     max_p: int
     max_value: Optional[int]
     blacks: Dict[ComponentId, List[Tuple[int, int]]] = field(default_factory=dict)
-
-    def all_edges(self) -> List[TreeEdge]:
-        return [e for row in self.edges for e in row]
 
 
 def build_tree(
@@ -165,21 +157,21 @@ def path_to_root(n: int, max_steps: int = DEFAULT_MAX_STEPS) -> RootPath:
     return RootPath(steps, not steps or steps[-1][1] != 1)
 
 
-def export(tree: Tree, fmt: str, include_black: bool = False) -> bytes:
+def export(tree: Tree, fmt: str) -> bytes:
     """Serialize a built tree to DOT or a level-indexed JSON document.
 
     Byte-for-byte deterministic for a given tree. Black entries appear
-    only when include_black is set (and only for nodes that were expanded
-    with include_black at build time).
+    exactly for the nodes in tree.blacks: those expanded by a build_tree
+    call with include_black set.
     """
     if fmt == "dot":
-        return _to_dot(tree, include_black).encode()
+        return _to_dot(tree).encode()
     if fmt == "json":
-        return _to_json(tree, include_black).encode()
+        return _to_json(tree).encode()
     raise ValueError(f"unknown export format {fmt!r}")
 
 
-def _to_dot(tree: Tree, include_black: bool) -> str:
+def _to_dot(tree: Tree) -> str:
     # every edge joins two nodes of the tree, so each name is made once here
     names = {c: node_name(c) for row in tree.nodes for c in row}
     lines = ["digraph components {", "  rankdir=TB;"]
@@ -192,7 +184,7 @@ def _to_dot(tree: Tree, include_black: bool) -> str:
         for e in row:
             lines.append(f'  "{names[e.parent]}" -> "{names[e.child]}" '
                          f'[label="via={e.via} p={e.p}"];')
-    if include_black:
+    if tree.blacks:
         for row in tree.nodes:
             for c in row:
                 for p, value in tree.blacks.get(c, ()):
@@ -202,7 +194,7 @@ def _to_dot(tree: Tree, include_black: bool) -> str:
     return "\n".join(lines)
 
 
-def _to_json(tree: Tree, include_black: bool) -> str:
+def _to_json(tree: Tree) -> str:
     """What json.dumps(doc, sort_keys=True, separators=(",", ":")) writes
     for the level-indexed document, written from the tree with the keys in
     sorted order."""
@@ -217,7 +209,7 @@ def _to_json(tree: Tree, include_black: bool) -> str:
         for c in row:
             a, q = c
             black = ""
-            if include_black and c in tree.blacks:
+            if c in tree.blacks:
                 black = ',"black_entries":[' + ",".join(
                     [f'{{"p":{p},"value":{v}}}' for p, v in tree.blacks[c]]) + "]"
             anchor = ',"trivial_cycle_anchor":true' if c == tree.root else ""

@@ -110,15 +110,15 @@ def table_a_rows(q_max: int = 15) -> List[tuple]:
     return rows
 
 
-def table_b_cells(x_max: int = 8, q_max: int = 15) -> List[tuple]:
-    """Defined connection cells (a, b, x, y, m) that iter_connections enumerates.
+def table_b_cells(q_max: int = 15) -> List[tuple]:
+    """Defined connection cells (a, b, x, y, m) of iter_connections, x <= 8, y <= q_max.
 
     a is the parent matrix branch, b the child branch, m the child column
     attaching to parent cell (x, y); cells whose entry is a multiple of 3
     are skipped. Ordered by (a, x, y).
     """
     return [(c.parent_a, c.child_a, c.x, c.y, c.m)
-            for parent_a in (1, 5) for c in iter_connections(parent_a, x_max, q_max=q_max)]
+            for parent_a in (1, 5) for c in iter_connections(parent_a, 8, q_max=q_max)]
 
 
 def check_partition(bound: int = 10_000) -> PropertyCheck:
@@ -127,18 +127,17 @@ def check_partition(bound: int = 10_000) -> PropertyCheck:
     For t <= bound: S5(4t)=S1(t), S5(4t+1)=S3(t), S5(4t+2)=S5(t),
     S5(4t+3)=S7(t), and the image of any odd is never a multiple of 3
     (so every non-seed term is 6t+1 or 6t+5). Regenerates the S-value
-    table for q = 0..15 and compares the fixed reference rows.
+    table for q = 0..15 and compares the fixed reference rows. The scan
+    and identities_checked end at the t where the counterexamples fill up.
     """
     ce = _Collector()
-    scanning = True
+    t = -1  # a bound below 0 scans nothing
     for t in range(bound + 1):
-        if not scanning:
-            break
         s5 = [syr_class(5, 4 * t + i) for i in range(4)]
         rhs = [syr_class(1, t), syr_class(3, t), syr_class(5, t), syr_class(7, t)]
         for i in range(4):
             if s5[i] != rhs[i]:
-                scanning = ce.add(
+                ce.add(
                     t=t,
                     identity=f"S5(4t+{i})",
                     lhs=s5[i],
@@ -148,7 +147,9 @@ def check_partition(bound: int = 10_000) -> PropertyCheck:
                 )
         img = syr(2 * t + 1)
         if img % 3 == 0:
-            scanning = ce.add(t=t, value=2 * t + 1, image=img, identity="image mod 3")
+            ce.add(t=t, value=2 * t + 1, image=img, identity="image mod 3")
+        if len(ce.items) == MAX_COUNTEREXAMPLES:
+            break
     rows = table_a_rows(15)
     for q, expected in TABLE_A_ANCHORS.items():
         got = rows[q][5:]
@@ -160,7 +161,7 @@ def check_partition(bound: int = 10_000) -> PropertyCheck:
         if syr_class(5, q) != syr_class(a_dup, q // 4):
             ce.add(q=q, identity="S5 duplication", dup_class=a_dup)
     return ce.result("L2.1", f"t<={bound}",
-                     {"identities_checked": 4 * (bound + 1), "table_rows": 16})
+                     {"identities_checked": 4 * (t + 1), "table_rows": 16})
 
 
 def check_coverage(bound: int = 10**6) -> PropertyCheck:
@@ -208,8 +209,8 @@ def check_coverage(bound: int = 10**6) -> PropertyCheck:
                      {"cells_enumerated": cells, "odds_checked": odds})
 
 
-def check_closed_forms(p_max: int = 8, q_max: int = 64) -> PropertyCheck:
-    """T2.11: closed forms agree with their step-by-step counterparts.
+def check_closed_forms(q_max: int = 64) -> PropertyCheck:
+    """T2.11: for p <= 8 and q <= q_max, closed forms agree with step-by-step counterparts.
 
     Entries: entry(a, p, q) equals p-fold application of m -> 4m+1 to the
     row-0 value. Connection cells: the closed form equals
@@ -223,7 +224,7 @@ def check_closed_forms(p_max: int = 8, q_max: int = 64) -> PropertyCheck:
     for a in (1, 5):
         for q in range(q_max + 1):
             m = 8 * q + 1 if a == 1 else 4 * q + 3
-            for p in range(p_max + 1):
+            for p in range(9):
                 entries += 1
                 if entry(a, p, q) != m:
                     ce.add(cell=(a, p, q), closed=entry(a, p, q), iterated=m)
@@ -232,11 +233,11 @@ def check_closed_forms(p_max: int = 8, q_max: int = 64) -> PropertyCheck:
     direct_defined = {
         (c.child_a, c.parent_a, c.x, c.y): c.m
         for pa in (1, 5)
-        for c in iter_connections(pa, p_max, q_max=q_max)
+        for c in iter_connections(pa, 8, q_max=q_max)
     }
     for child_a in (1, 5):
         for parent_a in (1, 5):
-            for x in range(p_max + 1):
+            for x in range(9):
                 for q in range(q_max + 1):
                     cells += 1
                     closed = child_column(child_a, parent_a, x, q)
@@ -250,13 +251,13 @@ def check_closed_forms(p_max: int = 8, q_max: int = 64) -> PropertyCheck:
                             f"{parent_a}, {x}, {q}), entry({parent_a}, {x}, {q}))'",
                         )
     anchors_ok = 0
-    table = set(table_b_cells(8, 15))
+    table = set(table_b_cells(15))
     for cell in TABLE_B_ANCHORS:
         if cell in table:
             anchors_ok += 1
         else:
             ce.add(anchor=cell, problem="missing from regenerated table")
-    return ce.result("T2.11", f"p<={p_max},q<={q_max}",
+    return ce.result("T2.11", f"p<=8,q<={q_max}",
                      {"entries_checked": entries, "cells_checked": cells,
                       "table_anchors": anchors_ok})
 
@@ -686,7 +687,7 @@ def run_suite(
 CHECKS = {
     "L2.1": (check_partition, 10_000),
     "T2.9": (check_coverage, 10**6),
-    "T2.11": (lambda q_max: check_closed_forms(8, q_max), 64),
+    "T2.11": (check_closed_forms, 64),
     "T2.12": (check_connection_coverage, 10_000),
     "T2.15": (check_cycle_freedom, 10**5),
     "L3.3": (check_even_identity, 10**6),

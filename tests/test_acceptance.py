@@ -146,7 +146,7 @@ def test_c5_oracle_equivalence(capsys):
 
 
 def test_c6_closed_forms(capsys):
-    c = check_closed_forms(8, 64)
+    c = check_closed_forms(64)
     ok = c.passed
     # spot re-derivation straight from the entries
     for child in (1, 5):

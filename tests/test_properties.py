@@ -18,7 +18,7 @@ from syrtree.sequences import (
     DEFAULT_MAX_STEPS,
     col_seq,
     collatz_expand,
-    decimal_strings,
+    iter_decimal_strings,
     syr_seq_model,
     syr_seq_oracle,
 )
@@ -218,7 +218,7 @@ BIG_EVEN = (random.Random(SEQ_BITS).getrandbits(SEQ_BITS - 1000) | 1 << (SEQ_BIT
 def test_decimal_strings_equal_str_on_sequences(n, kind, budget, shift):
     # col seeds are shifted left, which makes an even seed of most of them
     s = col_seq(n << shift, budget) if kind == "col" else syr_seq_model(n | 1, budget)
-    assert decimal_strings(s.terms) == list(map(str, s.terms))
+    assert list(iter_decimal_strings(s.terms)) == list(map(str, s.terms))
 
 
 @checked
@@ -244,4 +244,4 @@ def test_decimal_strings_equal_str_on_broken_chains(n, budget, edits):
                 terms[i] = value
             else:
                 del terms[i]
-    assert decimal_strings(terms) == list(map(str, terms))
+    assert list(iter_decimal_strings(terms)) == list(map(str, terms))

@@ -14,7 +14,7 @@ from syrtree.sequences import (
     Sequence,
     col_seq,
     collatz_expand,
-    decimal_strings,
+    iter_decimal_strings,
     stats,
     syr_seq_model,
     syr_seq_oracle,
@@ -292,7 +292,7 @@ def test_to_json_matches_json_dumps(include_terms):
 
 
 def test_decimal_strings_of_no_terms():
-    assert decimal_strings([]) == []
+    assert list(iter_decimal_strings([])) == []
 
 
 # 640 is the lowest nonzero int/str digit limit; 2^2126 has 640 digits, and
@@ -307,7 +307,7 @@ def test_decimal_strings_keep_the_int_str_digit_limit(seed, over):
             with pytest.raises(ValueError, match="limit"):
                 list(map(str, s.terms))
             with pytest.raises(ValueError, match="limit"):
-                decimal_strings(s.terms)
+                list(iter_decimal_strings(s.terms))
             for include_terms in (True, False):
                 with pytest.raises(ValueError, match="limit"):
                     to_json(s, include_terms)
@@ -323,7 +323,7 @@ def test_decimal_strings_keep_the_int_str_digit_limit(seed, over):
                     to_csv([s], include_terms, out=out)
                 assert out.getvalue() == csv_writer_reference([], include_terms)
         else:
-            assert decimal_strings(s.terms) == list(map(str, s.terms))
+            assert list(iter_decimal_strings(s.terms)) == list(map(str, s.terms))
             assert to_json(s) == json_dumps_reference(s)
             assert to_csv([s]) == csv_writer_reference([s])
     finally:

@@ -12,8 +12,8 @@ from syrtree.matrices import locate
 from syrtree.tree import (
     ROOT,
     ComponentId,
+    _column,
     build_tree,
-    black_entries,
     children,
     connection_point,
     export,
@@ -56,7 +56,7 @@ def test_children_of_1_14():
 
 def test_children_of_1_142():
     # row 0 holds 1137, a multiple of 3, so the first child hangs off row 1
-    assert black_entries(ComponentId(1, 142), 0) == [(0, 1137)]
+    assert _column(ComponentId(1, 142), 0, None)[1] == [(0, 1137)]
     got = edge_summary(children(ComponentId(1, 142), 2))
     assert got == [
         (ComponentId(1, 758), 1, 4549),
@@ -71,7 +71,7 @@ def test_children_max_value_caps_the_via_entry():
 
 def test_black_entries():
     # column (1,0) holds 1, 5, 21, 85, 341, 1365: multiples of 3 at p=2,5
-    assert black_entries(ComponentId(1, 0), 5) == [(2, 21), (5, 1365)]
+    assert _column(ComponentId(1, 0), 5, None)[1] == [(2, 21), (5, 1365)]
 
 
 def test_build_tree_level1():
@@ -102,7 +102,7 @@ def test_build_tree_level0():
 def test_parent_correctness():
     # the child's image lands exactly on the parent's connection point
     t = build_tree(4, 6)
-    for e in t.all_edges():
+    for e in itertools.chain.from_iterable(t.edges):
         assert syr(e.via) == connection_point(e.parent)
         assert e.via % 6 == e.child.a
         assert e.child.q == (e.via - e.child.a) // 6
@@ -113,7 +113,7 @@ def test_single_parent_and_no_duplicates():
     all_nodes = [c for row in t.nodes for c in row]
     assert len(all_nodes) == len(set(all_nodes))
     child_count = {}
-    for e in t.all_edges():
+    for e in itertools.chain.from_iterable(t.edges):
         child_count[e.child] = child_count.get(e.child, 0) + 1
     assert all(v == 1 for v in child_count.values())
 
@@ -196,11 +196,11 @@ def test_export_json_single_node():
 
 def test_export_black_annotations():
     t = build_tree(1, 5, include_black=True)
-    plain = export(t, "dot").decode()
-    annotated = export(t, "dot", include_black=True).decode()
+    plain = export(build_tree(1, 5), "dot").decode()
+    annotated = export(t, "dot").decode()
     assert "b21" not in plain
     assert '"b21" [label="21", shape=point];' in annotated
-    doc = json.loads(export(t, "json", include_black=True).decode())
+    doc = json.loads(export(t, "json").decode())
     root_node = doc["levels"][0]["nodes"][0]
     assert {"p": 2, "value": 21} in root_node["black_entries"]
 
@@ -255,11 +255,11 @@ def reference_dot(t, include_black):
 @pytest.mark.parametrize("levels", range(5))
 @pytest.mark.parametrize("max_value", [None, 1, 100, 10**6])
 def test_export_equals_the_reference_documents(levels, max_value):
-    for max_p, built_black, black in itertools.product(range(9), (False, True), (False, True)):
-        t = build_tree(levels, max_p, max_value, include_black=built_black)
+    for max_p, black in itertools.product(range(9), (False, True)):
+        t = build_tree(levels, max_p, max_value, include_black=black)
         doc = json.dumps(export_doc(t, black), sort_keys=True, separators=(",", ":")) + "\n"
-        assert export(t, "json", include_black=black) == doc.encode()
-        assert export(t, "dot", include_black=black) == reference_dot(t, black).encode()
+        assert export(t, "json") == doc.encode()
+        assert export(t, "dot") == reference_dot(t, black).encode()
 
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from syrtree import verify
 from syrtree.arith import syr, syr_class
 from syrtree.cli import main
-from syrtree.matrices import Coord, child_column, entry, iter_connections
+from syrtree.matrices import Coord, child_column, entry, iter_connections, row
 from syrtree.sequences import col_seq, walk
 from syrtree.verify import (
     MAX_COUNTEREXAMPLES,
@@ -172,6 +172,35 @@ def test_coverage_scan_stops_at_the_counterexample_cap(monkeypatch):
         assert got.details["odds_checked"] == (839 + 1) // 2
 
 
+def repeated_seven(a, p):
+    """row, except that row (5, 0) hands out 7 again at the cell (5, 0, 2), which holds 11."""
+    cells = row(a, p)
+    return (7 if q == 2 else e for q, e in enumerate(cells)) if (a, p) == (5, 0) else cells
+
+
+# T2.9 at bound 21 under repeated_seven: 7 comes out of a second cell,
+# which also fails the round trip and makes locate disagree, and no cell
+# holds 11 (the only counterexample of the scan of the marks)
+REPEATED_SEVEN = [
+    {"n": 7, "problem": "hit by two cells", "cell": (5, 0, 2)},
+    {"n": 7, "problem": "locate disagrees", "cell": (5, 0, 2), "located": (5, 0, 1),
+     "repro": "syrtree locate 7"},
+    {"n": 7, "problem": "round-trip", "cell": (5, 0, 2)},
+    {"n": 11, "problem": "no cell", "repro": "syrtree locate 11"},
+]
+
+
+@pytest.mark.parametrize("cap, odds", [(3, 6), (10, 11)])
+def test_coverage_reports_a_cell_hit_twice(cap, odds, monkeypatch):
+    # at cap 3 the cells are all enumerated, and the scan stops at 11
+    monkeypatch.setattr(verify, "row", repeated_seven)
+    monkeypatch.setattr(verify, "MAX_COUNTEREXAMPLES", cap)
+    assert check_coverage(21).as_dict() == {
+        "id": "T2.9", "bound": "n<=21", "passed": False, "counterexamples": REPEATED_SEVEN[:cap],
+        "details": {"cells_enumerated": 11, "odds_checked": odds},
+    }
+
+
 def shifted_threes(a, q):
     """syr_class, two too high for class 3 at q = 1 mod 8."""
     value = syr_class(a, q)
@@ -208,6 +237,11 @@ L2_1_FAULTS = {
 }
 
 
+# identities_checked where cap 3 ends the scan early: after t = 17 and t = 9;
+# every other case scans t = 0..40, 164 identities
+L2_1_EARLY = {("class", 3): 72, ("both", 3): 40}
+
+
 @pytest.mark.parametrize("cap", [3, 10])
 @pytest.mark.parametrize("fault", list(L2_1_FAULTS))
 def test_check_partition_reports_injected_faults(fault, cap, monkeypatch):
@@ -218,7 +252,7 @@ def test_check_partition_reports_injected_faults(fault, cap, monkeypatch):
     monkeypatch.setattr(verify, "MAX_COUNTEREXAMPLES", cap)
     assert check_partition(40).as_dict() == {
         "id": "L2.1", "bound": "t<=40", "passed": False, "counterexamples": found[:cap],
-        "details": {"identities_checked": 164, "table_rows": 16},
+        "details": {"identities_checked": L2_1_EARLY.get((fault, cap), 164), "table_rows": 16},
     }
 
 
@@ -276,7 +310,7 @@ def test_check_closed_forms_reports_injected_faults(fault, cap, monkeypatch):
 
 
 def test_check_closed_forms_passes():
-    c = check_closed_forms(6, 32)
+    c = check_closed_forms(32)
     assert c.passed
     assert c.details["table_anchors"] == 4
 
@@ -372,6 +406,38 @@ def test_check_cycle_freedom_reports_a_cycling_walk(monkeypatch):
         "seed": 35, "column": (5, 8), "first_index": 0, "index": 2,
         "repro": "syrtree seq 35 --kind syr",
     }]
+
+
+def test_verify_text_prints_each_counterexample(monkeypatch, capsys):
+    monkeypatch.setattr(verify, "walk", cycling_walk)
+    assert main(["verify", "--suite", "T2.15", "--bound", "99", "--workers", "1"]) == 1
+    out = re.sub(r"\(\d+\.\d\ds\)", "(N.NNs)", capsys.readouterr().out)
+    assert out == ("T2.15 odd seeds<=99 FAIL (N.NNs)\n"
+                   "  counterexample: seed=35, column=(5, 8), first_index=0, index=2, "
+                   "repro=syrtree seq 35 --kind syr\n")
+
+
+def recurring_walk(n, max_steps):
+    """walk, except that 35 steps to 53, 53 back to 35, and 35, met again,
+    to 7 and on as the real walk of 7 (the real cells of 35 and 53)."""
+    if n != 35:
+        return walk(n, max_steps)
+    steps = itertools.chain([(Coord(5, 0, 8), 53), (Coord(5, 2, 0), 35), (Coord(5, 0, 8), 7)],
+                            walk(7, max_steps))
+    return itertools.islice(steps, max_steps)
+
+
+@pytest.mark.parametrize("cap", [3, 10])
+def test_check_cycle_freedom_reports_a_repeated_value(cap, monkeypatch):
+    # no next term repeats, so no column does: 35 is reported as a value alone
+    monkeypatch.setattr(verify, "walk", recurring_walk)
+    monkeypatch.setattr(verify, "MAX_COUNTEREXAMPLES", cap)
+    assert check_cycle_freedom(35).as_dict() == {
+        "id": "T2.15", "bound": "odd seeds<=35", "passed": False,
+        "counterexamples": [{"seed": 35, "value": 35, "problem": "value repeats",
+                             "repro": "syrtree seq 35 --kind syr"}],
+        "details": {"seeds_checked": 18},
+    }
 
 
 def plain_cycle_freedom(bound, max_steps):
@@ -508,7 +574,7 @@ def test_table_a_rows():
 
 
 def test_table_b_cells_anchor_values():
-    cells = set(table_b_cells(8, 15))
+    cells = set(table_b_cells(15))
     assert (1, 1, 3, 0, 14) in cells
     assert (1, 5, 2, 1, 24) in cells
     assert (5, 1, 0, 4, 3) in cells
@@ -516,7 +582,7 @@ def test_table_b_cells_anchor_values():
 
 
 def test_table_b_cells_match_entries():
-    for a, b, x, y, m in table_b_cells(8, 15):
+    for a, b, x, y, m in table_b_cells(15):
         assert entry(a, x, y) == 6 * m + b
 
 
