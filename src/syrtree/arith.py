@@ -10,6 +10,8 @@ DEFAULT_MAX_STEPS = 100_000
 # the low machine word: trailing-bit reads on a big int mask it off first,
 # so they cost one small int instead of a copy of the whole number
 LOW = (1 << 64) - 1
+# the low word with every 2-bit slot 01: m -> 4m+1 appends one such slot
+LOW_01 = 0x5555_5555_5555_5555
 
 
 def _require_positive(n):

@@ -10,16 +10,16 @@ Nothing is materialized: entries come from closed forms,
     entry(1, p, q) = ((6q+1) * 4**(p+1) - 1) / 3
     entry(5, p, q) = ((6q+5) * 4**(p+1) - 2) / 6
 
-and the inverse lookup ``locate`` reduces by (m-1)/4 while m = 5 (mod 8),
-at most 8 times; a cell deeper than that is read off 3n+1 = odd * 2^d in
-O(1) big-int operations. The public ``entry`` and ``locate`` check their
+and the inverse lookup ``locate`` reads the cell off the 2-bit slots of n
+(each lift appends the slot 01) in O(1) big-int operations, with no 3n+1
+and no division. The public ``entry`` and ``locate`` check their
 arguments and then call their cores, ``_entry`` and ``_locate``; loops that
 build their own valid cells or odd terms call the cores directly.
 """
 
 from typing import Iterator, NamedTuple, Optional
 
-from .arith import LOW, _require_odd
+from .arith import LOW, LOW_01, _require_odd
 
 
 class Coord(NamedTuple):
@@ -62,11 +62,11 @@ def row(a: int, p: int) -> Iterator[int]:
 def locate(n: int) -> Coord:
     """The unique cell holding the odd integer n.
 
-    Reduce by (m-1)/4 while m = 5 (mod 8); the remainder class of the
-    reduced value then fixes the branch and column:
+    Row 0 holds 8q+1 = q, 001 and 4q+3 = q, 11 in binary, and m -> 4m+1
+    appends the 2-bit slot 01, so the bits of n read, from the top:
 
-        m = 1 (mod 8)  ->  (1, p, (m-1)/8)
-        m = 3 (mod 4)  ->  (5, p, (m-3)/4)
+        (1, p, q):  q, 0, then p+1 slots 01
+        (5, p, q):  q, 11, then p slots 01
 
     entry(*locate(n)) == n for every odd n >= 1.
     """
@@ -77,26 +77,19 @@ def locate(n: int) -> Coord:
 def _locate(n: int) -> Coord:
     """locate without the argument check, for a positive odd int n.
 
-    The reductions run on the low 64 bits of n, and q is one shift of n.
-    With m = 5 (mod 8), (m-1)/4 == m >> 2, so p reductions leave n >> 2p;
-    then (m-1)/8 == m >> 3 when m = 1 (mod 8), and (m-3)/4 == m >> 2 when
-    m = 3 (mod 4). The loop reads at most the low 19 bits of n: after 8
-    reductions the cell is read off 3n+1 instead, which entry's closed
-    forms make (6q+1) * 2^(2p+2) in branch 1 and (6q+5) * 2^(2p+1) in
-    branch 5.
+    Row 0 (n != 5 mod 8, three odd n in four) is one test. Otherwise n
+    XOR the 01 mask clears n's low 01 slots, and its lowest set bit, bit
+    d-1, is bit 2p+2 in branch 1 and bit 2p+1 in branch 5; q is n >> d.
+    The mask is the low word, or, when n's low word is all 01 slots, a
+    mask at least 2 bits wider than n, which reaches bit 2p+2 of the
+    all-01 entries (4^(p+1)-1)/3 = (1, p, 0). Only &, ^, >> and
+    bit_length touch n: no 3n+1 and no division.
     """
-    m, p = n if n <= LOW else n & LOW, 0
-    while m & 7 == 5:
-        m >>= 2
-        p += 1
-        if p == 8:
-            t = 3 * n + 1
-            d = (t & -t).bit_length() - 1
-            a = 5 if d & 1 else 1
-            return _coord(Coord, (a, (d - 1) >> 1, ((t >> d) - a) // 6))
-    if m & 7 == 1:
-        return _coord(Coord, (1, p, n >> (2 * p + 3)))
-    return _coord(Coord, (5, p, n >> (2 * p + 2)))
+    if n & 7 != 5:
+        return _coord(Coord, (1, 0, n >> 3) if n & 7 == 1 else (5, 0, n >> 2))
+    x = (n & LOW) ^ LOW_01 or n ^ int.from_bytes(b"\x55" * ((n.bit_length() >> 3) + 2), "little")
+    d = (x & -x).bit_length()
+    return _coord(Coord, (1 if d & 1 else 5, (d >> 1) - 1, n >> d))
 
 
 def residue6(n: int) -> int:

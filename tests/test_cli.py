@@ -1,6 +1,7 @@
 import contextlib
 import decimal
 import hashlib
+import io
 import itertools
 import json
 import multiprocessing
@@ -14,6 +15,8 @@ from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from syrtree import cli, verify
 from syrtree.cli import main
@@ -354,6 +357,148 @@ def test_usage_error_bad_format():
     with pytest.raises(SystemExit) as exc:
         main(["tree", "--format", "csv"])
     assert exc.value.code == 2
+
+
+
+# Every input path at once: flags, config lines and SYRTREE_WORKERS, drawn
+# valid and invalid. Valid values are capped, which bounds each example's work.
+
+INT_LIMIT = sys.get_int_max_str_digits()
+ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+OVER_LIMIT = ("7" * (INT_LIMIT + 1), "-" + "7" * (INT_LIMIT + 1), "٧" * (INT_LIMIT + 1))
+NOT_INTEGERS = ("", " ", "x", "1.5", "1e3", "0x", "5-", "--5", "٣x", *OVER_LIMIT)
+
+
+def integers(low, cap, hex_ok=False):
+    """(good, bad): strategies of an integer as a flag, config line or env
+    var spells it. good reads as a value in [low, cap], so only valid values
+    are capped; bad is out of range as often as it is no integer at all."""
+    spellings = (str, "+{}".format, " {} ".format, "_".join, lambda d: d.translate(ARABIC_INDIC),
+                 *((lambda d: hex(int(d)),) if hex_ok else ()))
+    good = st.builds(lambda v, spell: spell(str(v)),
+                     st.sampled_from((low, cap)) | st.integers(low, cap), st.sampled_from(spellings))
+    if low == 0:
+        good |= st.just("-0")
+    bad = st.sampled_from((str(low - 1), f"-1{cap}")) | st.sampled_from(
+        (*NOT_INTEGERS, *(() if hex_ok else (hex(cap),))))
+    return good, bad
+
+
+def choice(*options):
+    return st.sampled_from(options), st.just("nope")
+
+
+FLAGS = {  # flag -> (good, bad) values, or None for a switch
+    "seq": {"--kind": choice("syr", "col"), "--format": choice("text", "json", "csv"),
+            "--max-steps": integers(0, 500), "--no-terms": None, "--strict": None},
+    "locate": {"--format": choice("text", "json")},
+    "tree": {"--levels": integers(0, 3), "--max-p": integers(0, 8),
+             "--max-value": integers(1, 10**6), "--format": choice("dot", "json"),
+             "--include-black": None},
+    "verify": {"--suite": choice("all", *verify.SUITE_IDS), "--bound": integers(1, 50),
+               "--budget": integers(1, 1000), "--workers": integers(1, 4),
+               "--format": choice("text", "json")},
+    "table": {"--which": choice("A", "B"), "--rows": integers(1, 100)},
+}
+SEED = integers(1, 2**64, hex_ok=True)
+WORKERS = integers(1, 4)
+# the parts of each command's input that can be bad
+PARTS = {command: ("command", *(("seed",) if command in ("seq", "locate") else ()),
+                   *(f for f, values in flags.items() if values),
+                   *(("env", "config") if command == "verify" else ()))
+         for command, flags in FLAGS.items()}
+# SYRTREE_WORKERS is read by verify alone, where an empty one counts as unset
+ANY_WORKERS = st.none() | WORKERS[0] | WORKERS[1]
+GOOD_WORKERS = st.sampled_from((None, "")) | WORKERS[0]
+BAD_WORKERS = WORKERS[1].filter(bool)
+CONFIG_FAULTS = st.sampled_from(("missing", "directory", "line", "utf-8"))
+SETTINGS = {key: integers(1, cap) for key, cap in (("bound", 50), ("budget", 1000), ("workers", 4))}
+GOOD_LINES = st.lists(st.one_of(
+    *(values[0].map(f"{key}=".__add__) for key, values in SETTINGS.items()),
+    st.sampled_from(("", "# bound=0", "workers = 2  # two"))), max_size=3)
+BOUND_LINE = SETTINGS["bound"][0].map("bound=".__add__)
+BAD_LINE = st.one_of(*(values[1].map(f"{key}=".__add__) for key, values in SETTINGS.items()),
+                     st.sampled_from(("bonud=5", "bound", "=5")))
+
+
+@st.composite
+def cli_inputs(draw, command, bad):
+    """(argv, SYRTREE_WORKERS or None, config) for command with its part
+    bad, or with no part bad when bad is None. One bad part at a time, so
+    that no other error hides it. config is None, the file's bytes,
+    "missing" or "directory"."""
+    left_out = bad in ("command", "seed", "--which") and draw(st.booleans())
+    argv = [] if left_out and bad == "command" else ["bogus" if bad == "command" else command]
+    if "seed" in PARTS[command] and not (left_out and bad == "seed"):
+        argv.append(draw(SEED[bad == "seed"]))
+    given = [flag for flag in FLAGS[command]
+             if flag in (bad, "--which") or draw(st.booleans())]
+    for flag in given:
+        values = FLAGS[command][flag]
+        if values is None:
+            argv.append(flag)
+        elif not (left_out and bad == flag):
+            argv += [flag, draw(values[bad == flag])]
+    if command != "verify":
+        return argv, draw(ANY_WORKERS), None
+    env = draw(BAD_WORKERS if bad == "env" else GOOD_WORKERS)
+    # without --bound the suite runs at the file's bound, never at its
+    # default bounds
+    lines = draw(GOOD_LINES) + ([] if "--bound" in given else [draw(BOUND_LINE)])
+    fault = draw(CONFIG_FAULTS) if bad == "config" else None
+    if fault == "line":
+        lines.insert(draw(st.integers(0, len(lines))), draw(BAD_LINE))
+    if fault in ("missing", "directory"):
+        return argv, env, fault
+    if fault or "--bound" not in given or draw(st.booleans()):
+        return argv, env, "".join(line + "\n" for line in lines).encode() + (
+            b"\xff\n" if fault == "utf-8" else b"")
+    return argv, env, None
+
+
+@pytest.fixture(scope="module")
+def config_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("configs")
+
+
+@pytest.mark.parametrize("command, bad", [
+    (command, bad) for command, parts in PARTS.items() for bad in (None, *parts)],
+    ids=lambda part: part.lstrip("-") if part else "valid")
+def test_every_input_ends_in_an_exit_code_and_one_error_line(config_dir, command, bad):
+    @settings(max_examples=8, deadline=None, derandomize=True, database=None)
+    @given(cli_inputs(command, bad))
+    def check(case):
+        argv, env, config = case
+        if config is not None:
+            path = {"missing": config_dir / "missing.cfg", "directory": config_dir}.get(
+                config, config_dir / "syrtree.cfg")
+            if isinstance(config, bytes):
+                path.write_bytes(config)
+            argv = argv + ["--config", str(path)]
+        out, err = io.StringIO(), io.StringIO()
+        with pytest.MonkeyPatch.context() as mp:
+            if env is None:
+                mp.delenv(cli.ENV_WORKERS, raising=False)
+            else:
+                mp.setenv(cli.ENV_WORKERS, env)
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code, usage = main(argv), False
+                except SystemExit as exc:  # argparse, after its usage lines
+                    code, usage = exc.code, True
+        err = err.getvalue()
+        assert "Traceback" not in err
+        assert code in (0, 1, 2, 3)
+        assert bad is None or code == 2, f"a bad {bad} ended in exit {code}"
+        if code == 2:
+            lines = err.splitlines()
+            if usage:
+                lines = [line for line in lines if not line.startswith(("usage: ", " "))]
+            assert len(lines) == 1, err
+
+    with pytest.MonkeyPatch.context() as mp:  # one CPU: no example starts a pool
+        mp.setattr(verify.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        check()
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"

@@ -2,6 +2,7 @@ import pytest
 
 from syrtree.matrices import (
     Coord,
+    _locate,
     child_column,
     entry,
     iter_connections,
@@ -37,6 +38,34 @@ def test_locate_examples():
     assert locate(5) == Coord(1, 1, 0)
     assert locate(1) == Coord(1, 0, 0)
     assert locate(853) == Coord(5, 4, 0)
+
+
+def test_all_01_values_are_column_0_of_matrix_1():
+    # (4^k-1)/3 is k slots 01, the row-0 value 1 lifted k-1 times; from
+    # k = 32 the low word is all 01 slots, and the mask must reach bit 2k
+    for k in range(1, 201):
+        assert _locate((4**k - 1) // 3) == Coord(1, k - 1, 0)
+
+
+class NoArithmetic(int):
+    """An int on which +, -, *, /, //, % and ** raise."""
+
+    def _refuse(self, *args):
+        raise AssertionError("locate did arithmetic on n")
+
+    __add__ = __radd__ = __sub__ = __rsub__ = __neg__ = __pow__ = _refuse
+    __mul__ = __rmul__ = __floordiv__ = __rfloordiv__ = _refuse
+    __truediv__ = __rtruediv__ = __mod__ = __rmod__ = _refuse
+
+
+def test_locate_reads_the_cell_off_the_bits_of_n():
+    # the model never forms 3n+1 or divides: locate uses &, ^, >> and
+    # bit_length on n, so it meets none of NoArithmetic's operators
+    for p in (*range(41), 500):
+        for a in (1, 5):
+            for q in (0, 1, 2**64 + 3):
+                n = NoArithmetic(entry(a, p, q))
+                assert _locate(n) == locate(n) == (a, p, q)
 
 
 def test_locate_rejects_even():

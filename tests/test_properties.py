@@ -1,7 +1,8 @@
 """Property tests on big integers, next to the fixed seeds of C5.
 
-Seeds are odd integers of 1 to 10^4 bits, plus the worst-case row entries
-(4^(p+1)-1)/3 = entry(1, p, 0), whose locate walks every row down to 0.
+Seeds are odd integers of 1 to 10^4 bits, plus the all-01 entries
+(4^(p+1)-1)/3 = entry(1, p, 0), whose 2-bit slots read 01 up to the top
+bit, so that the reduction loop walks every row down to 0.
 Whole sequences are printed from seeds of up to 4000 bits. The examples
 are derandomized so that the suite stays reproducible.
 """
@@ -31,6 +32,9 @@ odd_seeds = st.one_of(
     st.integers(0, (MAX_BITS - 2) // 2).map(lambda p: (4 ** (p + 1) - 1) // 3),
 )
 
+# a 4000-bit column
+BIG_COLUMN = random.Random(4000).getrandbits(4000) | 1 << 3999
+
 checked = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
 
@@ -41,7 +45,8 @@ def test_entry_of_locate_is_n(n):
 
 
 def plain_locate(n):
-    """The reduction loop alone, without locate's closed form for deep rows."""
+    """The literal (m-1)/4 reduction on all of n, one row per step, then
+    q from the row-0 value: 8q+1 or 4q+3."""
     m, p = n, 0
     while m & 7 == 5:
         m = (m - 1) >> 2
@@ -66,8 +71,10 @@ def test_locate_equals_the_reduction_loop_on_deep_rows(p):
 
 
 def reference_locate(n):
-    """locate's core as a loop on all of n, which reduces (m-1)/4 and reads
-    q off the reduced value, with the same closed form for deep rows."""
+    """The cell off 3n+1 for rows 8 and deeper: entry's closed forms make
+    3n+1 = (6q+1) * 2^(2p+2) in branch 1 and (6q+5) * 2^(2p+1) in branch 5,
+    so d = v2(3n+1) gives a and p, and (3n+1) >> d gives q. Rows 0-7 reduce
+    (m-1)/4 on all of n, as plain_locate does."""
     m, p = n, 0
     while m & 7 == 5:
         m = (m - 1) >> 2
@@ -89,7 +96,7 @@ def reference_syr(n):
 
 
 def assert_kernels_equal_references(n):
-    assert _locate(n) == locate(n) == reference_locate(n)
+    assert _locate(n) == locate(n) == reference_locate(n) == plain_locate(n)
     assert syr(n) == reference_syr(n)
 
 
@@ -100,10 +107,12 @@ def test_kernels_equal_the_whole_int_references(n):
     assert_kernels_equal_references(n)
 
 
-@pytest.mark.parametrize("p", range(41))  # the deep path from 8, the word's edge near 30
+# 3n+1 in reference_locate from row 8; n's low word is all 01 slots from
+# row 31 in branch 1 and from row 32 in branch 5
+@pytest.mark.parametrize("p", [*range(71), 500, 1000, 2000])
 def test_kernels_equal_the_whole_int_references_on_rows(p):
     for a in (1, 5):
-        for q in (0, 1, 2, 3, 12345, 2**64 - 1, 2**70 + 3):
+        for q in (0, 1, 2, 3, 12345, 2**64 - 1, 2**64, 2**70 + 3, BIG_COLUMN):
             n = entry(a, p, q)
             assert_kernels_equal_references(n)
             assert locate(n) == (a, p, q)
