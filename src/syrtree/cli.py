@@ -75,7 +75,7 @@ def _read_config(path: str) -> dict:
             if not line:
                 continue
             if "=" not in line:
-                raise ValueError(f"bad config line: {raw.rstrip()}")
+                raise ValueError(f"bad config line: {raw.rstrip()!r}")
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in CONFIG_KEYS:
                 raise ValueError(f"unknown config key {key!r}")
@@ -271,7 +271,10 @@ def _cmd_table(args) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args, extra = parser.parse_known_args(argv)
+    if extra:  # each token as repr, so that one with a line break stays on one line
+        parser.error("unrecognized arguments: " + " ".join(map(repr, extra)))
     # the config file and the environment are input too: read them, like
     # the flags, before the int/str digit limit is lifted below
     error = _verify_options(args) if args.command == "verify" else None

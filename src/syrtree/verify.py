@@ -461,29 +461,60 @@ def _jump_table() -> tuple:
     return tuple(p3), tuple(steps), tuple(d), tuple(ua), tuple(ub)
 
 
+@functools.cache
+def _glide_table() -> tuple:
+    """For each b < 2^JUMP_K, (A, B, steps, ua, ub) when the residue fixes
+    the glide of the class 2^JUMP_K*a + b, else None.
+
+    Every n = 2^JUMP_K*a + b with a >= 1 reaches the odd value A*a + B < n,
+    A even, after steps plain steps, within JUMP_K Terras steps, and no
+    plain value on the way exceeds ua*a + ub. Built on first use.
+    """
+    size = 1 << JUMP_K
+    glides = []
+    for b in range(size):
+        # as in _jump_table; A*a + B < 2^JUMP_K*a + b for every a >= 1
+        A, B, steps, hi_a, hi_b = size, b, 0, size, b
+        while A & 1 == 0 and not (B & 1 and A < size and A + B < size + b):
+            if B & 1:
+                A, B, steps = 3 * A, 3 * B + 1, steps + 1
+                hi_a, hi_b = max(hi_a, A), max(hi_b, B)
+            A, B, steps = A >> 1, B >> 1, steps + 1
+        glides.append(None if A & 1 else (A, B, steps, hi_a, hi_b))
+    return tuple(glides)
+
+
 def _sweep_chunk(args) -> SweepReport:
-    """The report of the seeds in [lo, hi], walked from odd term to odd term.
+    """The report of the seeds in [lo, hi], in blocks aligned to 2^JUMP_K:
+    whole residue classes settled from the memo, the other seeds walked.
 
     A step from odd m is 3m+1 followed by its halvings, 1 + z plain steps
     whose largest value is 3m+1, so a trajectory's maximum is the seed or
-    some 3m+1. Odd values up to cap = min(hi, MEMO_MAX) are memoized with
-    their exact plain steps to 1. Above max(cap, 2^(JUMP_K+1)) a walk takes
-    JUMP_K Terras steps at once through _jump_table, unless the block's
-    bound on its values exceeds the shard's max-excursion record; such a
-    block is walked step by step.
+    some 3m+1. Odd values up to cap = min(hi, MEMO_MAX) have memo slots
+    that hold their exact plain steps to 1 once known (-1 before), and no
+    filled slot's trajectory maximum exceeds the shard's max-excursion
+    record. A walk fills the slots of its path only when its seed is
+    decided: that seed's maximum bounds the path and is counted into the
+    record at once. (A walk over budget may pass values above the record,
+    so it fills nothing.) So a walk stops at a filled slot, and a seed
+    beats the record exactly when its own walk up to that slot does. Above
+    max(cap, 2^(JUMP_K+1)) a walk takes JUMP_K Terras steps at once through
+    _jump_table, unless the block's bound on its values exceeds the record.
 
-    Only walks that reach 1 within the budget fill the memo. Such a seed's
-    trajectory maximum is at most the record once it is counted, so no
-    value past a memo hit, nor in a skipped block, can exceed the record:
-    a seed beats the record exactly when the maximum of its own walk does.
-    So a seed whose odd part m = seed / 2^z has a memo slot k needs no
-    walk: it takes z + k steps, and its own walk, z halvings, peaks at the
-    seed. A walk that ends over budget does not raise the record, so it may
-    pass values above it; were its path memoized, a later seed would reach
-    such a value past a memo hit without seeing it. Seeds ascend, so a
-    strict > keeps the smaller seed on a tie (a test with MEMO_MAX = 1 pins
-    it). Outcomes are identical to walking every seed on its own, and a
-    walk stops once it has spent its budget.
+    A block [L, H] of about L/8 seeds inside the memo window first settles
+    each class b of _glide_table in bulk, against the record R held before
+    the block, whose holder is below it: seed n = 2^JUMP_K*a + b takes
+    steps + slot(A*a + B), a progression of slots below n, and peaks at
+    most at max(ua*a + ub, R). A class is settled only when every slot it
+    reads is filled, every result is within the budget and ua*a + ub <= R
+    at the block's top a. Then none of its seeds is undecided or beats R,
+    and an odd class fills its seeds' own slots, which keeps the invariant.
+    The other seeds are walked in ascending order. The stopping-time record
+    keeps the largest (steps, -seed), the smaller seed on a tie in any
+    order. Only walked seeds can beat the excursion record, in ascending
+    order, so a strict > keeps the smaller seed on a tie (a test with
+    MEMO_MAX = 1 pins it). Outcomes are identical to walking every seed on
+    its own, and a walk stops once it has spent its budget.
     """
     t0 = time.perf_counter()
     lo, hi, budget = args
@@ -493,55 +524,88 @@ def _sweep_chunk(args) -> SweepReport:
     steps_c[0] = 0
     p3, jsteps, jd, ua, ub = _jump_table()
     jump_above = max(cap, 2 << JUMP_K)
-    mask = (1 << JUMP_K) - 1
+    size = 1 << JUMP_K
+    mask = size - 1
     record = 0  # best_exc's value, 0 until a seed is decided
     decided = 0
-    best_steps: Optional[Tuple[int, int]] = None
+    best_s, best_seed = -1, 0  # the stopping-time record, none yet
     best_exc: Optional[Tuple[int, int]] = None
     undecided: List[int] = []
-    for seed in range(lo, hi + 1):
-        z = (seed & -seed).bit_length() - 1
-        m = seed >> z
-        s = z
-        mx = seed
-        k = steps_c[m >> 1] if m <= cap else -1
-        path = [] if k < 0 else ()  # (odd value in the window, steps to it)
-        while k < 0:
-            if m <= cap:
-                k = steps_c[m >> 1]
-                if k >= 0:
+    L = lo
+    while L <= hi:
+        # about L/8 seeds from an aligned L, else up to the next alignment;
+        # a top short of a whole 2^JUMP_K makes a block of its own
+        H = (L if L & mask else L + (L >> 3)) | mask
+        if H > hi:
+            H = ((hi + 1) & ~mask) - 1
+            if H < L:
+                H = hi
+        seeds = range(L, H + 1)
+        if not L & mask and H & mask == mask and H <= cap:
+            # (steps, -seed): the record, then each settled class's first maximum
+            found = [(best_s, -best_seed)]
+            todo = []
+            a0, a1 = L >> JUMP_K, H >> JUMP_K
+            for b, glide in enumerate(_glide_table()):
+                if glide and glide[3] * a1 + glide[4] <= record:
+                    h, j, steps = glide[0] >> 1, glide[1] >> 1, glide[2]
+                    vals = steps_c[h * a0 + j:h * a1 + j + 1:h]
+                    k = max(vals)
+                    if -1 not in vals and k + steps <= budget:
+                        if b & 1:
+                            steps_c[(L + b) >> 1:(H >> 1) + 1:size >> 1] = map(steps.__add__, vals)
+                        decided += len(vals)
+                        found.append((k + steps, -(L + b + (vals.index(k) << JUMP_K))))
+                        continue
+                todo.append(b)
+            best_s, neg = max(found)
+            best_seed = -neg
+            seeds = (base + off for base in range(L, H + 1, size) for off in todo)
+        for seed in seeds:
+            z = (seed & -seed).bit_length() - 1
+            m = seed >> z
+            s = z
+            mx = seed
+            k = steps_c[m >> 1] if m <= cap else -1
+            path = [] if k < 0 else ()  # (odd value in the window, steps to it)
+            while k < 0:
+                if m <= cap:
+                    k = steps_c[m >> 1]
+                    if k >= 0:
+                        break
+                    path.append((m, s))
+                if s >= budget:
+                    k = -1
                     break
-                path.append((m, s))
-            if s >= budget:
-                k = -1
-                break
-            if m > jump_above:
-                b = m & mask
-                a = m >> JUMP_K
-                if ua[b] * a + ub[b] <= record:
-                    m = p3[b] * a + jd[b]
-                    z = (m & -m).bit_length()
-                    s += jsteps[b] + z - 1
-                    m >>= z - 1
-                    continue
-            t = 3 * m + 1
-            if t > mx:
-                mx = t
-            z = (t & -t).bit_length()
-            s += z
-            m = t >> (z - 1)
-        if k >= 0 and s + k <= budget:
-            s += k
-            for v, t in path:
-                steps_c[v >> 1] = s - t
-            decided += 1
-            if best_steps is None or s > best_steps[0]:
-                best_steps = (s, seed)
-            if mx > record:
-                best_exc = (mx, seed)
-                record = mx
-        elif len(undecided) < MAX_COUNTEREXAMPLES:
-            undecided.append(seed)
+                if m > jump_above:
+                    b = m & mask
+                    a = m >> JUMP_K
+                    if ua[b] * a + ub[b] <= record:
+                        m = p3[b] * a + jd[b]
+                        z = (m & -m).bit_length()
+                        s += jsteps[b] + z - 1
+                        m >>= z - 1
+                        continue
+                t = 3 * m + 1
+                if t > mx:
+                    mx = t
+                z = (t & -t).bit_length()
+                s += z
+                m = t >> (z - 1)
+            if k >= 0 and s + k <= budget:
+                s += k
+                for v, t in path:
+                    steps_c[v >> 1] = s - t
+                decided += 1
+                if s > best_s or s == best_s and seed < best_seed:
+                    best_s, best_seed = s, seed
+                if mx > record:
+                    best_exc = (mx, seed)
+                    record = mx
+            elif len(undecided) < MAX_COUNTEREXAMPLES:
+                undecided.append(seed)
+        L = H + 1
+    best_steps = (best_s, best_seed) if best_s >= 0 else None
     return SweepReport(lo, hi, budget, decided, (hi - lo + 1) - decided, best_steps, best_exc,
                        undecided, time.perf_counter() - t0)
 
@@ -636,11 +700,11 @@ def sweep_convergence(
     """Run every seed in [lo, hi] to 1 (or to the budget) and aggregate.
 
     Sharding is by contiguous sub-ranges and per-seed results are
-    intrinsic. Seeds ascend within a shard and shards ascend in task order,
-    so keeping the first maximum, within a shard and then over the shards,
-    keeps the smaller seed on a tie: the report is identical for any worker
-    count or shard layout. At most min(workers, hi-lo+1, CPUs this process
-    may run on) shards run, one process each.
+    intrinsic. A shard keeps the smaller seed on a tie (_sweep_chunk) and
+    shards ascend in task order, so keeping the first maximum over the
+    shards does too: the report is identical for any worker count or shard
+    layout. At most min(workers, hi-lo+1, CPUs this process may run on)
+    shards run, one process each.
     """
     shards = _sweep_shards(lo, hi, budget, workers)
     return _sweep_report(_run_tasks(shards, workers))
@@ -660,12 +724,15 @@ def run_suite(
     into the processes the checks leave idle, max(1, P - C) shards with
     P = _pool_size(workers, C + seeds): a shard above the first starts with
     an empty memo and walks further. With C = 0 this is sweep_convergence's
-    cut. Tasks go in longest first (Graham's list rule): the shards, then
-    the checks by descending default bound, ties in report order. At most
-    _pool_size(workers, tasks) processes run them. Returns the checks in
-    the order of ids and the merged sweep (None without "sweep"): the same
-    reports as run_check and sweep_convergence give one by one. A check's
-    elapsed is measured in the process that ran it.
+    cut. Tasks go in as the shards, then the checks by descending default
+    bound, ties in report order. That is about longest first (Graham's list
+    rule): T2.9 takes a little longer than the sweep from 1, which settles
+    most seeds in bulk, but on two or more processes the two start
+    together. At most _pool_size(workers, tasks) processes run them.
+    Returns the checks in the order of ids and the merged sweep (None
+    without "sweep"): the same reports as run_check and sweep_convergence
+    give one by one. A check's elapsed is measured in the process that ran
+    it.
     """
     checks = [cid for cid in ids if cid != "sweep"]
     shards = []

@@ -286,6 +286,7 @@ def test_verify_flag_overrides_config(capsys, tmp_path):
     ("bound=-5\n", None),
     ("bonud=5\n", None),
     ("workers=0\n", None),
+    ("a\x0bb\n", None),  # a line break that str.splitlines sees, echoed as repr
     (None, "abc"),
     (None, "-3"),
 ])
@@ -366,7 +367,7 @@ def test_usage_error_bad_format():
 INT_LIMIT = sys.get_int_max_str_digits()
 ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
 OVER_LIMIT = ("7" * (INT_LIMIT + 1), "-" + "7" * (INT_LIMIT + 1), "٧" * (INT_LIMIT + 1))
-NOT_INTEGERS = ("", " ", "x", "1.5", "1e3", "0x", "5-", "--5", "٣x", *OVER_LIMIT)
+NOT_INTEGERS = ("", " ", "\n", "\x0b", "x", "1.5", "1e3", "0x", "5-", "--5", "٣x", *OVER_LIMIT)
 
 
 def integers(low, cap, hex_ok=False):
@@ -404,7 +405,7 @@ SEED = integers(1, 2**64, hex_ok=True)
 WORKERS = integers(1, 4)
 # the parts of each command's input that can be bad
 PARTS = {command: ("command", *(("seed",) if command in ("seq", "locate") else ()),
-                   *(f for f, values in flags.items() if values),
+                   *(f for f, values in flags.items() if values), "stray",
                    *(("env", "config") if command == "verify" else ()))
          for command, flags in FLAGS.items()}
 # SYRTREE_WORKERS is read by verify alone, where an empty one counts as unset
@@ -418,7 +419,9 @@ GOOD_LINES = st.lists(st.one_of(
     st.sampled_from(("", "# bound=0", "workers = 2  # two"))), max_size=3)
 BOUND_LINE = SETTINGS["bound"][0].map("bound=".__add__)
 BAD_LINE = st.one_of(*(values[1].map(f"{key}=".__add__) for key, values in SETTINGS.items()),
-                     st.sampled_from(("bonud=5", "bound", "=5")))
+                     st.sampled_from(("bonud=5", "bound", "=5", "bound\x0b5", "a b")))
+# a token no parser takes, echoed in the error line
+STRAY = st.sampled_from(("x", " ", "\n", "a\nb", "\x0b"))
 
 
 @st.composite
@@ -439,6 +442,8 @@ def cli_inputs(draw, command, bad):
             argv.append(flag)
         elif not (left_out and bad == flag):
             argv += [flag, draw(values[bad == flag])]
+    if bad == "stray":
+        argv.append(draw(STRAY))
     if command != "verify":
         return argv, draw(ANY_WORKERS), None
     env = draw(BAD_WORKERS if bad == "env" else GOOD_WORKERS)

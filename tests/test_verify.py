@@ -667,8 +667,14 @@ def test_sweep_memoization_does_not_change_outcomes():
     # MEMO_MAX = 2**22; (1, 100) has a window below 2**(JUMP_K+1); at budget
     # 14 walks that reach the memo over budget still fill it, with maxima
     # from above the window; budgets 25 and 40 at 10**7 cut walks inside a
-    # jump block; 2**30 needs exactly 30 steps
+    # jump block; 2**30 needs exactly 30 steps. From 1, residue classes are
+    # settled in bulk: at budget 16 a class whose glide bound tops the record
+    # is walked, and one of its seeds sets the excursion record; at 187 a
+    # class's first maximum (not its last) holds the stopping-time record; at
+    # 45 a walked seed takes that record's tie from a larger seed settled in
+    # bulk in its block
     for lo, hi, budget in ((1, 3000, 10**5), (27, 40, 111), (1, 200, 9),
+                           (1, 5000, 16), (1, 30000, 187), (1, 2**15, 45),
                            (2**22 - 300, 2**22 + 300, 10**5), (1, 100, 10**5),
                            (1, 300, 30), (1, 300, 14), (10**7 + 1, 10**7 + 3000, 25),
                            (10**7 + 1, 10**7 + 3000, 40),
@@ -710,6 +716,56 @@ def test_jump_table_matches_plain_steps():
             assert max(values) <= ua[b] * a + ub[b], (a, b)
 
 
+def first_odd_below(n):
+    """(plain steps, value) at the first odd value below n, and the largest
+    value up to it, one plain 3n+1 or n/2 step at a time."""
+    m, steps, top = n, 0, n
+    while not (m & 1 and m < n):
+        m = 3 * m + 1 if m & 1 else m >> 1
+        steps += 1
+        top = max(top, m)
+    return steps, m, top
+
+
+def test_glide_table_matches_plain_steps():
+    table = verify._glide_table()
+    size = 1 << verify.JUMP_K
+    assert len(table) == size
+    # every even class glides but 0, whose seeds have JUMP_K or more factors of 2
+    assert [b for b in range(0, size, 2) if table[b] is None] == [0]
+    for b, glide in enumerate(table):
+        if glide is None:
+            continue
+        A, B, steps, ua, ub = glide
+        assert A % 2 == 0, b
+        for a in (1, 2, 3**40):
+            plain_steps, landing, top = first_odd_below(size * a + b)
+            assert (steps, A * a + B) == (plain_steps, landing), (a, b)
+            assert top <= ua * a + ub, (a, b)
+
+
+@pytest.mark.parametrize("budget", [0, 30, 60, 120, 10**5])
+def test_sweep_from_1_equals_plain_sweep(budget, monkeypatch):
+    # blocks from 256 up settle whole residue classes from the memo; with a
+    # small budget or memo window many of them fall back to walks
+    expected = plain_sweep(1, 30000, budget)
+    for memo_max in (64, 2**12, verify.MEMO_MAX):
+        monkeypatch.setattr(verify, "MEMO_MAX", memo_max)
+        assert sweep_outcome(1, 30000, budget) == expected, memo_max
+
+
+@pytest.mark.parametrize("b", [1, 2])
+def test_a_corrupted_glide_entry_changes_the_sweep(b, monkeypatch):
+    # the sweep from 1 settles the odd class 1 and the even class 2 from the
+    # memo, with the table's steps
+    table = list(verify._glide_table())
+    A, B, steps, ua, ub = table[b]
+    table[b] = (A, B, steps + 1000, ua, ub)
+    clean = sweep_outcome(1, 2**15, 10**5)
+    monkeypatch.setattr(verify, "_glide_table", lambda: tuple(table))
+    assert sweep_outcome(1, 2**15, 10**5) != clean
+
+
 def test_sweep_report_keeps_the_earlier_shard_on_ties():
     # hand-built shards of [3, 6], tied on both records: the earlier,
     # smaller seed wins each
@@ -743,9 +799,10 @@ def test_sweep_memo_holds_odd_values_only():
 
 
 def test_sweep_worker_count_does_not_change_results():
-    base = sweep_convergence(1, 5000).as_dict()
+    # a shard above the first starts with an empty memo, so its blocks walk
+    base = sweep_convergence(1, 40000).as_dict()
     for workers in (2, 3):
-        assert sweep_convergence(1, 5000, workers=workers).as_dict() == base
+        assert sweep_convergence(1, 40000, workers=workers).as_dict() == base
 
 
 @pytest.fixture
