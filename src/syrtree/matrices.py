@@ -14,10 +14,12 @@ and the inverse lookup ``locate`` reads the cell off the 2-bit slots of n
 (each lift appends the slot 01) in O(1) big-int operations, with no 3n+1
 and no division. The public ``entry`` and ``locate`` check their
 arguments and then call their cores, ``_entry`` and ``_locate``; loops that
-build their own valid cells or odd terms call the cores directly.
+build their own valid cells or odd terms call the cores directly. The core
+``_locate`` gives a plain ``(a, p, q)`` tuple; ``locate`` alone builds the
+``Coord``.
 """
 
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional, Tuple
 
 from .arith import LOW, LOW_01, _require_odd
 
@@ -30,8 +32,8 @@ class Coord(NamedTuple):
     q: int
 
 
-# builds a Coord from a 3-tuple without NamedTuple's Python-level __new__
-_coord = tuple.__new__
+# builds a Coord or ConnectionCell without NamedTuple's Python-level __new__
+_tuple = tuple.__new__
 
 
 def entry(a: int, p: int, q: int) -> int:
@@ -71,11 +73,12 @@ def locate(n: int) -> Coord:
     entry(*locate(n)) == n for every odd n >= 1.
     """
     _require_odd(n)
-    return _locate(n)
+    return _tuple(Coord, _locate(n))
 
 
-def _locate(n: int) -> Coord:
-    """locate without the argument check, for a positive odd int n.
+def _locate(n: int) -> Tuple[int, int, int]:
+    """locate without the argument check or the Coord, for a positive odd
+    int n: the plain triple (a, p, q).
 
     Row 0 (n != 5 mod 8, three odd n in four) is one test. Otherwise n
     XOR the 01 mask clears n's low 01 slots, and its lowest set bit, bit
@@ -86,10 +89,10 @@ def _locate(n: int) -> Coord:
     bit_length touch n: no 3n+1 and no division.
     """
     if n & 7 != 5:
-        return _coord(Coord, (1, 0, n >> 3) if n & 7 == 1 else (5, 0, n >> 2))
+        return (1, 0, n >> 3) if n & 7 == 1 else (5, 0, n >> 2)
     x = (n & LOW) ^ LOW_01 or n ^ int.from_bytes(b"\x55" * ((n.bit_length() >> 3) + 2), "little")
     d = (x & -x).bit_length()
-    return _coord(Coord, (1 if d & 1 else 5, (d >> 1) - 1, n >> d))
+    return (1 if d & 1 else 5, (d >> 1) - 1, n >> d)
 
 
 def residue6(n: int) -> int:
@@ -167,6 +170,6 @@ def iter_connections(
                 break
             r = e % 6
             if r != 3:  # e <= entry_cap keeps the child column m within max_child
-                yield ConnectionCell(r, parent_a, x, q, (e - r) // 6)
+                yield _tuple(ConnectionCell, (r, parent_a, x, q, (e - r) // 6))
         if q == 0:  # row x starts past the cap, and later rows start higher
             return

@@ -30,7 +30,6 @@ from typing import Iterable, Iterator, List, NamedTuple, Optional, TextIO, Tuple
 
 from .arith import DEFAULT_MAX_STEPS, _require_odd, v2
 from .arith import syr as _syr
-from .matrices import Coord
 # the core under the name perfbench/spans.py wraps; walk checks its seed once
 from .matrices import _locate as locate
 
@@ -53,18 +52,18 @@ class Sequence:
         return len(self.terms) - 1
 
 
-def walk(n: int, max_steps: int = DEFAULT_MAX_STEPS) -> Iterator[Tuple[Coord, int]]:
+def walk(n: int, max_steps: int = DEFAULT_MAX_STEPS) -> Iterator[Tuple[Tuple[int, int, int], int]]:
     """The column walk: locate the current term's cell, emit its connection
     point 6q+a as the next term.
 
-    Yields (cell of the current term, next term) once per step and never
-    divides. Stops after yielding 1 (so walk(1) yields the one step 1 -> 1)
-    or after max_steps steps.
+    Yields (cell of the current term as a plain (a, p, q) tuple, next term)
+    once per step and never divides. Stops after yielding 1 (so walk(1)
+    yields the one step 1 -> 1) or after max_steps steps.
     """
     _require_odd(n)
     for _ in range(max_steps):
-        c = locate(n)
-        n = 6 * c.q + c.a
+        a, _p, q = c = locate(n)
+        n = 6 * q + a
         yield c, n
         if n == 1:
             return

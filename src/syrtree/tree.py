@@ -153,7 +153,7 @@ def path_to_root(n: int, max_steps: int = DEFAULT_MAX_STEPS) -> RootPath:
     budget runs out (reported, never asserted: reaching 1 is the question
     under test, not an axiom).
     """
-    steps = [(_tuple(ComponentId, (c.a, c.q)), t) for c, t in walk(n, max_steps)]
+    steps = [(_tuple(ComponentId, (a, q)), t) for (a, _p, q), t in walk(n, max_steps)]
     return RootPath(steps, not steps or steps[-1][1] != 1)
 
 

@@ -181,20 +181,22 @@ def check_coverage(bound: int = 10**6) -> PropertyCheck:
     for a in (1, 5):
         p = 0
         while entry(a, p, 0) <= bound:
+            deep = p >= 1
             for q, e in enumerate(row(a, p)):
                 if e > bound:
                     break
                 cells += 1
-                idx = (e - 1) >> 1
+                idx = e >> 1  # (e - 1) >> 1 for odd e
+                cell = (a, p, q)
                 if seen[idx]:
-                    ce.add(n=e, problem="hit by two cells", cell=(a, p, q))
+                    ce.add(n=e, problem="hit by two cells", cell=cell)
                 seen[idx] = 1
-                if locate(e) != (a, p, q):
-                    ce.add(n=e, problem="locate disagrees", cell=(a, p, q),
+                if locate(e) != cell:
+                    ce.add(n=e, problem="locate disagrees", cell=cell,
                            located=tuple(locate(e)), repro=f"syrtree locate {e}")
                 if entry(a, p, q) != e:
-                    ce.add(n=e, problem="round-trip", cell=(a, p, q))
-                if (p >= 1) != (e % 8 == 5):
+                    ce.add(n=e, problem="round-trip", cell=cell)
+                if deep != (e & 7 == 5):
                     ce.add(n=e, problem="row>=1 slice", p=p)
             p += 1
     odds = (bound + 1) >> 1
@@ -349,7 +351,7 @@ def _first_revisit(seed: int, max_steps: int,
     cur = seed
     for i, (c, nxt) in enumerate(walk(seed, max_steps + 1)):
         if nxt in cols:
-            return {"column": (c.a, c.q), "first_index": cols[nxt], "index": i}, -1
+            return {"column": (c[0], c[2]), "first_index": cols[nxt], "index": i}, -1
         cols[nxt] = i
         if cur in values:
             return {"value": cur, "problem": "value repeats"}, -1

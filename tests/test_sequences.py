@@ -74,6 +74,20 @@ def test_walk_ends():
     assert [t for _c, t in walk(35)] == [53, 5, 1]
 
 
+@pytest.mark.parametrize("seed", [27, 853, 2**61 - 1, entry(5, 40, 7), entry(1, 300, 2**70 + 3)])
+def test_walk_cells_are_plain_triples_of_the_current_term(seed):
+    # each cell unpacks as (a, p, q), holds the current term, and its
+    # connection point 6q+a is the next term
+    cur = seed
+    for c, nxt in walk(seed):
+        a, p, q = c
+        assert type(c) is tuple
+        assert entry(a, p, q) == cur
+        assert 6 * q + a == nxt
+        cur = nxt
+    assert cur == 1
+
+
 def test_walk_and_model_check_the_seed():
     # the walk's steps call the unchecked locate core, so the seed is checked once
     with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ import re
 import sys
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -447,9 +448,9 @@ def plain_cycle_freedom(bound, max_steps):
 
     def first_revisit(seed):
         cols, values, cur = {}, set(), seed
-        for i, (c, nxt) in enumerate(verify.walk(seed, max_steps + 1)):
+        for i, ((a, _p, q), nxt) in enumerate(verify.walk(seed, max_steps + 1)):
             if nxt in cols:
-                return {"column": (c.a, c.q), "first_index": cols[nxt], "index": i}
+                return {"column": (a, q), "first_index": cols[nxt], "index": i}
             cols[nxt] = i
             if cur in values:
                 return {"value": cur, "problem": "value repeats"}
@@ -970,6 +971,16 @@ def test_run_check_dispatch():
         run_check("T9.99")
     with pytest.raises(ValueError):  # run_suite orders the checks first
         run_suite(["T9.99"])
+
+
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
+
+
+@pytest.mark.parametrize("check_id", ["T2.9", "T2.12", "T2.15"])
+def test_cell_path_checks_at_default_bounds_equal_the_golden_suite(check_id):
+    # golden.json's verify_all is `verify --suite all --format json` at default bounds
+    suite = json.loads(json.loads(GOLDEN.read_text(encoding="utf-8"))["verify_all"])
+    assert run_check(check_id).as_dict() == next(c for c in suite["checks"] if c["id"] == check_id)
 
 
 @pytest.mark.parametrize("bound", [0, -5])
