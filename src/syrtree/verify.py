@@ -439,51 +439,35 @@ class SweepReport:
 
 
 @functools.cache
-def _jump_table() -> tuple:
-    """The sweep's JUMP_K-step table, as five tuples indexed by b < 2^JUMP_K.
+def _terras_table() -> tuple:
+    """(jump, glides): JUMP_K Terras steps (n -> n/2, odd n -> (3n+1)/2) on
+    each class n = 2^JUMP_K*a + b, b < 2^JUMP_K, a >= 1. Built on first use.
 
-    JUMP_K Terras steps (n -> n/2, odd n -> (3n+1)/2) take 2^JUMP_K*a + b to
-    p3[b]*a + d[b] in steps[b] plain steps, where p3[b] = 3^c(b) and steps[b]
-    = JUMP_K + c(b) for the c(b) odd steps, and no plain value on the way
-    exceeds ua[b]*a + ub[b]. Built on first use, so importing costs nothing.
+    jump is five tuples (p3, steps, d, ua, ub): the steps take n to
+    p3[b]*a + d[b] in steps[b] = JUMP_K + c(b) plain steps, p3[b] = 3^c(b)
+    for the c(b) odd steps. glides[b] is (A, B, steps, ua, ub) when the
+    residue fixes the glide, else None: n reaches the odd value A*a + B < n,
+    A even, in steps plain steps. No plain value on the way to either end
+    exceeds ua*a + ub.
     """
     size = 1 << JUMP_K
-    p3, steps, d, ua, ub = ([0] * size for _ in range(5))
+    jump, glides = [], []
     for b in range(size):
         # n = A*a + B; A stays even until the last halving, so B's parity
         # is n's for every a
         A, B, c = size, b, 0
-        hi_a, hi_b = A, B
-        for _ in range(JUMP_K):
+        hi_a, hi_b, glide = A, B, None
+        for j in range(JUMP_K):
+            # A*a + B < 2^JUMP_K*a + b for every a >= 1, first time only
+            if glide is None and B & 1 and A < size and A + B < size + b:
+                glide = (A, B, j + c, hi_a, hi_b)
             if B & 1:
                 A, B, c = 3 * A, 3 * B + 1, c + 1
                 hi_a, hi_b = max(hi_a, A), max(hi_b, B)
             A, B = A >> 1, B >> 1
-        p3[b], steps[b], d[b], ua[b], ub[b] = A, JUMP_K + c, B, hi_a, hi_b
-    return tuple(p3), tuple(steps), tuple(d), tuple(ua), tuple(ub)
-
-
-@functools.cache
-def _glide_table() -> tuple:
-    """For each b < 2^JUMP_K, (A, B, steps, ua, ub) when the residue fixes
-    the glide of the class 2^JUMP_K*a + b, else None.
-
-    Every n = 2^JUMP_K*a + b with a >= 1 reaches the odd value A*a + B < n,
-    A even, after steps plain steps, within JUMP_K Terras steps, and no
-    plain value on the way exceeds ua*a + ub. Built on first use.
-    """
-    size = 1 << JUMP_K
-    glides = []
-    for b in range(size):
-        # as in _jump_table; A*a + B < 2^JUMP_K*a + b for every a >= 1
-        A, B, steps, hi_a, hi_b = size, b, 0, size, b
-        while A & 1 == 0 and not (B & 1 and A < size and A + B < size + b):
-            if B & 1:
-                A, B, steps = 3 * A, 3 * B + 1, steps + 1
-                hi_a, hi_b = max(hi_a, A), max(hi_b, B)
-            A, B, steps = A >> 1, B >> 1, steps + 1
-        glides.append(None if A & 1 else (A, B, steps, hi_a, hi_b))
-    return tuple(glides)
+        jump.append((A, JUMP_K + c, B, hi_a, hi_b))
+        glides.append(glide)
+    return tuple(zip(*jump)), tuple(glides)
 
 
 def _sweep_chunk(args) -> SweepReport:
@@ -501,10 +485,11 @@ def _sweep_chunk(args) -> SweepReport:
     so it fills nothing.) So a walk stops at a filled slot, and a seed
     beats the record exactly when its own walk up to that slot does. Above
     max(cap, 2^(JUMP_K+1)) a walk takes JUMP_K Terras steps at once through
-    _jump_table, unless the block's bound on its values exceeds the record.
+    the jump of _terras_table, unless the block's bound on its values
+    exceeds the record.
 
     A block [L, H] of about L/8 seeds inside the memo window first settles
-    each class b of _glide_table in bulk, against the record R held before
+    each class b that has a glide in bulk, against the record R held before
     the block, whose holder is below it: seed n = 2^JUMP_K*a + b takes
     steps + slot(A*a + B), a progression of slots below n, and peaks at
     most at max(ua*a + ub, R). A class is settled only when every slot it
@@ -524,7 +509,7 @@ def _sweep_chunk(args) -> SweepReport:
     # slot v >> 1 is odd v; -1 means not known yet
     steps_c = [-1] * ((cap >> 1) + 1)
     steps_c[0] = 0
-    p3, jsteps, jd, ua, ub = _jump_table()
+    (p3, jsteps, jd, ua, ub), glides = _terras_table()
     jump_above = max(cap, 2 << JUMP_K)
     size = 1 << JUMP_K
     mask = size - 1
@@ -548,7 +533,7 @@ def _sweep_chunk(args) -> SweepReport:
             found = [(best_s, -best_seed)]
             todo = []
             a0, a1 = L >> JUMP_K, H >> JUMP_K
-            for b, glide in enumerate(_glide_table()):
+            for b, glide in enumerate(glides):
                 if glide and glide[3] * a1 + glide[4] <= record:
                     h, j, steps = glide[0] >> 1, glide[1] >> 1, glide[2]
                     vals = steps_c[h * a0 + j:h * a1 + j + 1:h]
@@ -622,15 +607,18 @@ def _pool_size(workers: int, tasks: int) -> int:
 
 
 def _sweep_shards(lo: int, hi: int, budget: int, workers: int) -> List[tuple]:
-    """The sweep of [lo, hi] as tasks for _run_tasks: _pool_size(workers,
-    hi-lo+1) contiguous shards of near-equal size, in ascending order."""
+    """The sweep of [lo, hi] as tasks for _run_tasks: contiguous shards in
+    ascending order, cut every ceil((hi-lo+1) / _pool_size(workers, hi-lo+1))
+    seeds from lo but only above MEMO_MAX. A shard from inside the memo
+    window would have an empty memo below it and walk every seed."""
     if lo < 1 or hi < lo:
         raise ValueError("need 1 <= lo <= hi")
     if budget < 0 or workers < 0:
         raise ValueError("budget and workers must be >= 0")
     n_chunks = _pool_size(workers, hi - lo + 1)
     size = (hi - lo + 1 + n_chunks - 1) // n_chunks
-    return [("sweep", (a, min(a + size - 1, hi), budget)) for a in range(lo, hi + 1, size)]
+    starts = [lo] + [a for a in range(lo + size, hi + 1, size) if a > MEMO_MAX]
+    return [("sweep", (a, b - 1, budget)) for a, b in zip(starts, starts[1:] + [hi + 1])]
 
 
 # shards is annotated as a string for the reason run_suite gives
@@ -706,7 +694,7 @@ def sweep_convergence(
     shards ascend in task order, so keeping the first maximum over the
     shards does too: the report is identical for any worker count or shard
     layout. At most min(workers, hi-lo+1, CPUs this process may run on)
-    shards run, one process each.
+    shards run, one process each, cut only above MEMO_MAX (_sweep_shards).
     """
     shards = _sweep_shards(lo, hi, budget, workers)
     return _sweep_report(_run_tasks(shards, workers))
@@ -723,14 +711,14 @@ def run_suite(
     """Run the checks and the sweep named in ids on one process pool.
 
     Each of the C checks is one task. The sweep of [1, bound] is cut only
-    into the processes the checks leave idle, max(1, P - C) shards with
-    P = _pool_size(workers, C + seeds): a shard above the first starts with
-    an empty memo and walks further. With C = 0 this is sweep_convergence's
-    cut. Tasks go in as the shards, then the checks by descending default
-    bound, ties in report order. That is about longest first (Graham's list
-    rule): T2.9 takes a little longer than the sweep from 1, which settles
-    most seeds in bulk, but on two or more processes the two start
-    together. At most _pool_size(workers, tasks) processes run them.
+    into the processes the checks leave idle, at most max(1, P - C) shards
+    with P = _pool_size(workers, C + seeds), and only above MEMO_MAX
+    (_sweep_shards). With C = 0 this is sweep_convergence's cut. Tasks go in
+    as the shards, then the checks by descending default bound, ties in
+    report order. That is about longest first (Graham's list rule): T2.9
+    takes a little longer than the sweep from 1, which settles most seeds in
+    bulk, but on two or more processes the two start together. At most
+    _pool_size(workers, tasks) processes run them.
     Returns the checks in the order of ids and the merged sweep (None
     without "sweep"): the same reports as run_check and sweep_convergence
     give one by one. A check's elapsed is measured in the process that ran

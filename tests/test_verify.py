@@ -707,7 +707,7 @@ def terras_block(n):
 
 
 def test_jump_table_matches_plain_steps():
-    p3, steps, d, ua, ub = verify._jump_table()
+    (p3, steps, d, ua, ub), _glides = verify._terras_table()
     size = 1 << verify.JUMP_K
     assert len(p3) == len(steps) == len(d) == len(ua) == len(ub) == size
     for b in range(size):
@@ -729,7 +729,7 @@ def first_odd_below(n):
 
 
 def test_glide_table_matches_plain_steps():
-    table = verify._glide_table()
+    _jump, table = verify._terras_table()
     size = 1 << verify.JUMP_K
     assert len(table) == size
     # every even class glides but 0, whose seeds have JUMP_K or more factors of 2
@@ -759,12 +759,26 @@ def test_sweep_from_1_equals_plain_sweep(budget, monkeypatch):
 def test_a_corrupted_glide_entry_changes_the_sweep(b, monkeypatch):
     # the sweep from 1 settles the odd class 1 and the even class 2 from the
     # memo, with the table's steps
-    table = list(verify._glide_table())
+    jump, glides = verify._terras_table()
+    table = list(glides)
     A, B, steps, ua, ub = table[b]
     table[b] = (A, B, steps + 1000, ua, ub)
     clean = sweep_outcome(1, 2**15, 10**5)
-    monkeypatch.setattr(verify, "_glide_table", lambda: tuple(table))
+    monkeypatch.setattr(verify, "_terras_table", lambda: (jump, tuple(table)))
     assert sweep_outcome(1, 2**15, 10**5) != clean
+
+
+@pytest.mark.parametrize("b", [1, 3, 255])
+def test_a_corrupted_jump_entry_changes_the_sweep(b, monkeypatch):
+    # above the memo window the sweep jumps JUMP_K Terras steps at once,
+    # with the table's steps
+    (p3, steps, d, ua, ub), glides = verify._terras_table()
+    steps = list(steps)
+    steps[b] += 1000
+    clean = sweep_outcome(10**7 + 1, 10**7 + 3000, 10**5)
+    monkeypatch.setattr(verify, "_terras_table",
+                        lambda: ((p3, tuple(steps), d, ua, ub), glides))
+    assert sweep_outcome(10**7 + 1, 10**7 + 3000, 10**5) != clean
 
 
 def test_sweep_report_keeps_the_earlier_shard_on_ties():
@@ -799,8 +813,10 @@ def test_sweep_memo_holds_odd_values_only():
     assert peak < 24 * 2**20
 
 
-def test_sweep_worker_count_does_not_change_results():
-    # a shard above the first starts with an empty memo, so its blocks walk
+def test_sweep_worker_count_does_not_change_results(monkeypatch):
+    # a shard above the first starts with an empty memo, so its blocks walk;
+    # the range is cut only above MEMO_MAX, lowered here so that it is cut
+    monkeypatch.setattr(verify, "MEMO_MAX", 2**10)
     base = sweep_convergence(1, 40000).as_dict()
     for workers in (2, 3):
         assert sweep_convergence(1, 40000, workers=workers).as_dict() == base
@@ -832,12 +848,28 @@ def pool_sizes(monkeypatch):
     return sizes
 
 
-def test_sweep_process_count_is_bounded(pool_sizes):
+def test_sweep_process_count_is_bounded(pool_sizes, monkeypatch):
+    # the range is cut only above MEMO_MAX
+    monkeypatch.setattr(verify, "MEMO_MAX", 1)
     base = sweep_convergence(1, 100).as_dict()
     assert sweep_convergence(1, 3, workers=500).as_dict() == sweep_convergence(1, 3).as_dict()
     assert sweep_convergence(1, 100, workers=500).as_dict() == base
     assert sweep_convergence(1, 100, workers=3).as_dict() == base
     assert pool_sizes == [3, 4, 3]
+
+
+def test_sweep_is_cut_only_above_the_memo_window(pool_sizes):
+    # a shard from inside the memo window, above lo, would walk every seed
+    assert verify._sweep_shards(1, 10**6, 10**5, 4) == [("sweep", (1, 10**6, 10**5))]
+    assert verify._sweep_shards(10**7 + 1, 11 * 10**6, 10**5, 2) == [
+        ("sweep", (10**7 + 1, 10**7 + 500_000, 10**5)),
+        ("sweep", (10**7 + 500_001, 11 * 10**6, 10**5))]
+    # [1, 2*MEMO_MAX] every MEMO_MAX/2 seeds: of the cut points, MEMO_MAX/2 + 1
+    # is inside the window, MEMO_MAX + 1 and 3*MEMO_MAX/2 + 1 are above it
+    half = verify.MEMO_MAX // 2
+    assert verify._sweep_shards(1, 4 * half, 10**5, 4) == [
+        ("sweep", (1, 2 * half, 10**5)), ("sweep", (2 * half + 1, 3 * half, 10**5)),
+        ("sweep", (3 * half + 1, 4 * half, 10**5))]
 
 
 def test_pool_size_honours_cpu_affinity(pool_sizes, monkeypatch):
@@ -903,6 +935,8 @@ def test_suite_submits_the_warm_sweep_then_checks_longest_first(pool_tasks):
 
 def test_suite_cuts_the_sweep_into_the_processes_checks_leave_idle(pool_tasks, monkeypatch):
     serial = suite_dicts(run_suite(SUITE_IDS, 200))
+    # the sweep is cut only above MEMO_MAX
+    monkeypatch.setattr(verify, "MEMO_MAX", 1)
     monkeypatch.setattr(verify.os, "cpu_count", lambda: 10)
     monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: set(range(10)))
     assert suite_dicts(run_suite(SUITE_IDS, 200, workers=10)) == serial
