@@ -9,7 +9,7 @@ proves an asymptotic statement: a pass means "holds up to the bound", and
 sequence sweeps report seeds that exhaust their step budget as undecided
 rather than asserting convergence.
 
-Check IDs (stable, individually addressable from the CLI):
+Suite IDs (stable, each addressable from the CLI; all but sweep are checks):
 
     L2.1   residue-class partition identities and the S-value table
     T2.9   matrix coverage of the odds: bijection and the row>=1 slice
@@ -232,11 +232,7 @@ def check_closed_forms(q_max: int = 64) -> PropertyCheck:
                     ce.add(cell=(a, p, q), closed=entry(a, p, q), iterated=m)
                 m = 4 * m + 1
     cells = 0
-    direct_defined = {
-        (c.child_a, c.parent_a, c.x, c.y): c.m
-        for pa in (1, 5)
-        for c in iter_connections(pa, 8, q_max=q_max)
-    }
+    direct_defined = {(b, a, x, y): m for a, b, x, y, m in table_b_cells(q_max)}
     for child_a in (1, 5):
         for parent_a in (1, 5):
             for x in range(9):
@@ -470,7 +466,7 @@ def _terras_table() -> tuple:
     return tuple(zip(*jump)), tuple(glides)
 
 
-def _sweep_chunk(args) -> SweepReport:
+def _sweep_chunk(lo: int, hi: int, budget: int) -> SweepReport:
     """The report of the seeds in [lo, hi], in blocks aligned to 2^JUMP_K:
     whole residue classes settled from the memo, the other seeds walked.
 
@@ -504,7 +500,6 @@ def _sweep_chunk(args) -> SweepReport:
     its own, and a walk stops once it has spent its budget.
     """
     t0 = time.perf_counter()
-    lo, hi, budget = args
     cap = min(hi, MEMO_MAX)
     # slot v >> 1 is odd v; -1 means not known yet
     steps_c = [-1] * ((cap >> 1) + 1)
@@ -607,10 +602,10 @@ def _pool_size(workers: int, tasks: int) -> int:
 
 
 def _sweep_shards(lo: int, hi: int, budget: int, workers: int) -> List[tuple]:
-    """The sweep of [lo, hi] as tasks for _run_tasks: contiguous shards in
-    ascending order, cut every ceil((hi-lo+1) / _pool_size(workers, hi-lo+1))
-    seeds from lo but only above MEMO_MAX. A shard from inside the memo
-    window would have an empty memo below it and walk every seed."""
+    """The sweep of [lo, hi] as _run_tasks tasks (_sweep_chunk, lo', hi',
+    budget): contiguous shards in ascending order, cut every ceil((hi-lo+1)
+    / _pool_size(workers, hi-lo+1)) seeds from lo but only above MEMO_MAX,
+    as a shard in the memo window would walk every seed from an empty memo."""
     if lo < 1 or hi < lo:
         raise ValueError("need 1 <= lo <= hi")
     if budget < 0 or workers < 0:
@@ -618,7 +613,7 @@ def _sweep_shards(lo: int, hi: int, budget: int, workers: int) -> List[tuple]:
     n_chunks = _pool_size(workers, hi - lo + 1)
     size = (hi - lo + 1 + n_chunks - 1) // n_chunks
     starts = [lo] + [a for a in range(lo + size, hi + 1, size) if a > MEMO_MAX]
-    return [("sweep", (a, b - 1, budget)) for a, b in zip(starts, starts[1:] + [hi + 1])]
+    return [(_sweep_chunk, a, b - 1, budget) for a, b in zip(starts, starts[1:] + [hi + 1])]
 
 
 # shards is annotated as a string for the reason run_suite gives
@@ -643,36 +638,33 @@ def _sweep_report(shards: "List[SweepReport]") -> SweepReport:
     )
 
 
-def _run_task(task):
-    """One task of _run_tasks: ("sweep", (lo, hi, budget)) sweeps one shard,
-    (check ID, bound) runs that check. A process pool sends this function by
-    its name, so it stays a module-level function that nothing rebinds."""
-    check_id, arg = task
-    if check_id == "sweep":
-        return _sweep_chunk(arg)
-    return run_check(check_id, arg)
-
-
 def _run_tasks(tasks: List[tuple], workers: int) -> list:
-    """Results of tasks, in task order. They run on a process pool of
-    _pool_size(workers, len(tasks)) processes, each taking the next task as
-    it comes free, or inline with no pool when that size is 1. The workers
-    start with SIGINT blocked and keep it so: a Ctrl-C interrupts the
-    parent alone, which ends them at once and re-raises. (Windows has no
-    signal mask, so there the workers take a SIGINT too.)"""
+    """Results of tasks (function, *args), in task order: each is
+    function(*args). A pool sends function by name, so it is one nothing
+    rebinds: a CHECKS function or _sweep_chunk, not run_check, which a
+    tracer may wrap. Tasks are submitted in order to _pool_size(workers,
+    len(tasks)) processes, each taking the next as it comes free, or run
+    inline when that is 1; once one fails, those not started are cancelled.
+    The workers start with SIGINT blocked and keep it so: a Ctrl-C
+    interrupts the parent alone, which ends them at once and re-raises.
+    (Windows has no signal mask, so there the workers take a SIGINT too.)"""
     size = _pool_size(workers, len(tasks))
     if size <= 1:
-        return [_run_task(t) for t in tasks]
+        return [function(*args) for function, *args in tasks]
     mask = getattr(signal, "pthread_sigmask", None)
     with ProcessPoolExecutor(max_workers=size) as pool:
         try:
             held = mask(signal.SIG_BLOCK, [signal.SIGINT]) if mask else None
             try:
-                results = pool.map(_run_task, tasks)
+                futures = [pool.submit(*task) for task in tasks]
             finally:  # a SIGINT held meanwhile raises here
                 if mask:
                     mask(signal.SIG_SETMASK, held)
-            return list(results)
+            try:
+                return [future.result() for future in futures]
+            finally:
+                for future in futures:
+                    future.cancel()
         except KeyboardInterrupt:
             # what ProcessPoolExecutor.terminate_workers does from Python 3.14;
             # leaving the pool then fails the tasks not done, without waiting
@@ -710,37 +702,38 @@ def run_suite(
 ) -> "Tuple[List[PropertyCheck], Optional[SweepReport]]":
     """Run the checks and the sweep named in ids on one process pool.
 
-    Each of the C checks is one task. The sweep of [1, bound] is cut only
-    into the processes the checks leave idle, at most max(1, P - C) shards
-    with P = _pool_size(workers, C + seeds), and only above MEMO_MAX
-    (_sweep_shards). With C = 0 this is sweep_convergence's cut. Tasks go in
-    as the shards, then the checks by descending default bound, ties in
-    report order. That is about longest first (Graham's list rule): T2.9
-    takes a little longer than the sweep from 1, which settles most seeds in
-    bulk, but on two or more processes the two start together. At most
-    _pool_size(workers, tasks) processes run them.
+    An unknown ID or a bound below 1 raises ValueError before any task
+    runs. Each of the C checks is one task. The sweep of [1, bound or
+    SWEEP_BOUND] is cut only into the processes the checks leave idle, at
+    most max(1, P - C) shards with P = _pool_size(workers, C + seeds), and
+    only above MEMO_MAX (_sweep_shards). With C = 0 this is
+    sweep_convergence's cut. Tasks go in as the shards, then the checks by
+    descending default bound, ties in report order: about longest first
+    (Graham's list rule). T2.9 takes a little longer than the sweep from 1,
+    which settles most seeds in bulk, but on two or more processes the two
+    start together. At most _pool_size(workers, tasks) processes run them.
     Returns the checks in the order of ids and the merged sweep (None
     without "sweep"): the same reports as run_check and sweep_convergence
     give one by one. A check's elapsed is measured in the process that ran
     it.
     """
     checks = [cid for cid in ids if cid != "sweep"]
+    tasks = [_check_task(cid, bound) for cid in checks]
     shards = []
     if "sweep" in ids:
-        hi = bound if bound is not None else CHECKS["sweep"][1]
+        hi = bound if bound is not None else SWEEP_BOUND
         idle = _pool_size(workers, len(checks) + hi) - len(checks)
         shards = _sweep_shards(1, hi, budget, max(1, idle))
-    # an unknown ID sorts last, and run_check raises its ValueError
-    order = sorted(range(len(checks)), key=lambda i: -CHECKS.get(checks[i], (None, 0))[1])
-    results = _run_tasks(shards + [(checks[i], bound) for i in order], workers)
+    order = sorted(range(len(checks)), key=lambda i: -CHECKS[checks[i]][1])
+    results = _run_tasks(shards + [tasks[i] for i in order], workers)
     done = dict(zip(order, results[len(shards):]))
     sweep = _sweep_report(results[:len(shards)]) if shards else None
     return [done[i] for i in range(len(checks))], sweep
 
 
 # check ID -> (check run at a bound, default bound), in report order. The
-# sweep has no such function: it also takes a budget and a worker count,
-# so run_suite cuts it into shards itself.
+# suite ID "sweep" is no check: the sweep also takes a budget and a worker
+# count, so run_suite cuts it into shards itself.
 CHECKS = {
     "L2.1": (check_partition, 10_000),
     "T2.9": (check_coverage, 10**6),
@@ -748,22 +741,28 @@ CHECKS = {
     "T2.12": (check_connection_coverage, 10_000),
     "T2.15": (check_cycle_freedom, 10**5),
     "L3.3": (check_even_identity, 10**6),
-    "sweep": (None, 10**6),
 }
 
-SUITE_IDS = tuple(CHECKS)
+SWEEP_BOUND = 10**6  # the sweep's default top seed
+
+SUITE_IDS = (*CHECKS, "sweep")
+
+
+def _check_task(check_id: str, bound: Optional[int]) -> tuple:
+    """The task (check function, bound or its default) of a check by ID."""
+    if check_id not in CHECKS:
+        raise ValueError(f"unknown check id {check_id!r}")
+    run, default = CHECKS[check_id]
+    if bound is not None and bound < 1:
+        raise ValueError(f"check {check_id}: bound must be >= 1, got {bound}")
+    return run, (default if bound is None else bound)
 
 
 def run_check(check_id: str, bound: Optional[int] = None) -> PropertyCheck:
-    """Run one bounded check by ID; bound falls back to the suite default.
+    """Run one bounded check by ID; bound falls back to the check's default.
 
     For T2.11 the bound sets the column range q_max (row range stays 8).
+    An unknown ID, "sweep" among them, or a bound below 1 raises ValueError.
     """
-    run, default = CHECKS.get(check_id, (None, None))
-    if run is None:
-        raise ValueError(f"unknown check id {check_id!r}")
-    if bound is None:
-        bound = default
-    elif bound < 1:
-        raise ValueError(f"check {check_id}: bound must be >= 1, got {bound}")
+    run, bound = _check_task(check_id, bound)
     return run(bound)

@@ -6,6 +6,7 @@ import re
 import sys
 import tracemalloc
 import weakref
+from concurrent.futures import Future
 from pathlib import Path
 
 import pytest
@@ -660,7 +661,7 @@ def test_sweep_excursion_tie_keeps_the_earlier_seed(monkeypatch):
     # with the memo window at 1, seed 5 walks through 16 itself rather than
     # hitting a slot that seed 3 filled, and so ties 3's record of 16
     monkeypatch.setattr(verify, "MEMO_MAX", 1)
-    assert verify._sweep_chunk((3, 5, 100)).max_excursion == (16, 3)
+    assert verify._sweep_chunk(3, 5, 100).max_excursion == (16, 3)
 
 
 def test_sweep_memoization_does_not_change_outcomes():
@@ -781,6 +782,47 @@ def test_a_corrupted_jump_entry_changes_the_sweep(b, monkeypatch):
     assert sweep_outcome(10**7 + 1, 10**7 + 3000, 10**5) != clean
 
 
+@pytest.mark.parametrize("bound", ["record + 1 at a1", "record at a0"])
+def test_a_glide_bound_over_the_record_walks_its_class(bound, monkeypatch):
+    # [3584, 4095] is walked from an empty memo and sets the record R; in
+    # the block [4096, 4863] (a = 16..18) seed 4591 of class 239 beats it.
+    # Class 239 has no glide, so it gets a stand-in landing on the odds
+    # 224a + 1 of the first block. A bound over R at the block's top a
+    # walks the class whatever its glide says, so the report stays the
+    # unpatched one; settling it would miss 4591
+    lo, hi, budget = 3584, 4863, 10**5
+    clean = sweep_outcome(lo, hi, budget)
+    record = sweep_outcome(lo, 4095, budget)[3][0]
+    assert clean[3] == (8153620, 4591) and record < 8153620
+    b, a0 = 4591 & 255, 4096 >> verify.JUMP_K
+    jump, glides = verify._terras_table()
+    assert glides[b] is None
+    ua, ub = (0, record + 1) if bound == "record + 1 at a1" else (1, record - a0)
+    table = list(glides)
+    table[b] = (224, 1, 1, ua, ub)
+    monkeypatch.setattr(verify, "_terras_table", lambda: (jump, tuple(table)))
+    assert sweep_outcome(lo, hi, budget) == clean
+
+
+def test_a_jump_bound_over_the_record_walks_its_class(monkeypatch):
+    # seed 10000009 beats the record R of the seeds before it at 3m + 1 for
+    # an odd m above the memo window. A jump does not read the values it
+    # skips, so with the bound of m's class at R + 1 that class is walked
+    # and the report stays the unpatched one; a jump would miss that peak
+    lo, seed = 10**7 + 1, 10**7 + 9
+    clean = sweep_outcome(lo, seed, 10**5)
+    peak, holder = clean[3]
+    record = sweep_outcome(lo, seed - 1, 10**5)[3][0]
+    assert holder == seed and peak > record and peak % 3 == 1
+    b = (peak - 1) // 3 & ((1 << verify.JUMP_K) - 1)
+    (p3, steps, d, ua, ub), glides = verify._terras_table()
+    ua, ub = list(ua), list(ub)
+    ua[b], ub[b] = 0, record + 1
+    monkeypatch.setattr(verify, "_terras_table",
+                        lambda: ((p3, steps, d, tuple(ua), tuple(ub)), glides))
+    assert sweep_outcome(lo, seed, 10**5) == clean
+
+
 def test_sweep_report_keeps_the_earlier_shard_on_ties():
     # hand-built shards of [3, 6], tied on both records: the earlier,
     # smaller seed wins each
@@ -795,7 +837,7 @@ def test_sweep_report_keeps_the_earlier_shard_on_ties():
 def test_sweep_memo_does_not_grow_with_hi():
     tracemalloc.start()
     try:
-        verify._sweep_chunk((2**24 + 1, 2**24 + 10, 1000))
+        verify._sweep_chunk(2**24 + 1, 2**24 + 10, 1000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -806,7 +848,7 @@ def test_sweep_memo_holds_odd_values_only():
     # one 8-byte slot per odd value up to MEMO_MAX, in one list: 16 MiB
     tracemalloc.start()
     try:
-        verify._sweep_chunk((2**24 + 1, 2**24 + 10, 1000))
+        verify._sweep_chunk(2**24 + 1, 2**24 + 10, 1000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -824,9 +866,9 @@ def test_sweep_worker_count_does_not_change_results(monkeypatch):
 
 @pytest.fixture
 def pool_sizes(monkeypatch):
-    """Sizes of the process pools started, with a stand-in pool that maps
-    inline, so no process starts, on a host of 4 CPUs that this process may
-    all run on."""
+    """Sizes of the process pools started, with a stand-in pool that runs
+    each task inline as it is submitted, so no process starts, on a host of
+    4 CPUs that this process may all run on."""
     sizes = []
 
     class InlinePool:
@@ -839,8 +881,10 @@ def pool_sizes(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return map(fn, items)
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
 
     monkeypatch.setattr(verify, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(verify.os, "cpu_count", lambda: 4)
@@ -860,16 +904,17 @@ def test_sweep_process_count_is_bounded(pool_sizes, monkeypatch):
 
 def test_sweep_is_cut_only_above_the_memo_window(pool_sizes):
     # a shard from inside the memo window, above lo, would walk every seed
-    assert verify._sweep_shards(1, 10**6, 10**5, 4) == [("sweep", (1, 10**6, 10**5))]
+    chunk = verify._sweep_chunk
+    assert verify._sweep_shards(1, 10**6, 10**5, 4) == [(chunk, 1, 10**6, 10**5)]
     assert verify._sweep_shards(10**7 + 1, 11 * 10**6, 10**5, 2) == [
-        ("sweep", (10**7 + 1, 10**7 + 500_000, 10**5)),
-        ("sweep", (10**7 + 500_001, 11 * 10**6, 10**5))]
+        (chunk, 10**7 + 1, 10**7 + 500_000, 10**5),
+        (chunk, 10**7 + 500_001, 11 * 10**6, 10**5)]
     # [1, 2*MEMO_MAX] every MEMO_MAX/2 seeds: of the cut points, MEMO_MAX/2 + 1
     # is inside the window, MEMO_MAX + 1 and 3*MEMO_MAX/2 + 1 are above it
     half = verify.MEMO_MAX // 2
     assert verify._sweep_shards(1, 4 * half, 10**5, 4) == [
-        ("sweep", (1, 2 * half, 10**5)), ("sweep", (2 * half + 1, 3 * half, 10**5)),
-        ("sweep", (3 * half + 1, 4 * half, 10**5))]
+        (chunk, 1, 2 * half, 10**5), (chunk, 2 * half + 1, 3 * half, 10**5),
+        (chunk, 3 * half + 1, 4 * half, 10**5)]
 
 
 def test_pool_size_honours_cpu_affinity(pool_sizes, monkeypatch):
@@ -914,13 +959,18 @@ def test_suite_pool_size_is_bounded(pool_sizes, monkeypatch, capsys):
 
 @pytest.fixture
 def pool_tasks(pool_sizes, monkeypatch):
-    """The task list that each stand-in pool of pool_sizes is handed."""
+    """The tasks (function, *args) submitted to each stand-in pool of
+    pool_sizes, one list per pool."""
     tasks = []
 
     class RecordingPool(verify.ProcessPoolExecutor):
-        def map(self, fn, items):
-            tasks.append(list(items))
-            return super().map(fn, tasks[-1])
+        def __init__(self, max_workers):
+            super().__init__(max_workers)
+            tasks.append([])
+
+        def submit(self, fn, *args):
+            tasks[-1].append((fn, *args))
+            return super().submit(fn, *args)
 
     monkeypatch.setattr(verify, "ProcessPoolExecutor", RecordingPool)
     return tasks
@@ -930,7 +980,8 @@ def test_suite_submits_the_warm_sweep_then_checks_longest_first(pool_tasks):
     serial = suite_dicts(run_suite(SUITE_IDS, 200))
     assert suite_dicts(run_suite(SUITE_IDS, 200, workers=2)) == serial
     by_default_bound = ["T2.9", "L3.3", "T2.15", "L2.1", "T2.12", "T2.11"]
-    assert pool_tasks == [[("sweep", (1, 200, 10**5))] + [(cid, 200) for cid in by_default_bound]]
+    assert pool_tasks == [[(verify._sweep_chunk, 1, 200, 10**5)]
+                          + [(verify.CHECKS[cid][0], 200) for cid in by_default_bound]]
 
 
 def test_suite_cuts_the_sweep_into_the_processes_checks_leave_idle(pool_tasks, monkeypatch):
@@ -940,13 +991,43 @@ def test_suite_cuts_the_sweep_into_the_processes_checks_leave_idle(pool_tasks, m
     monkeypatch.setattr(verify.os, "cpu_count", lambda: 10)
     monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: set(range(10)))
     assert suite_dicts(run_suite(SUITE_IDS, 200, workers=10)) == serial
-    assert pool_tasks[0][:4] == [("sweep", (lo, lo + 49, 10**5)) for lo in (1, 51, 101, 151)]
+    chunk = verify._sweep_chunk
+    assert pool_tasks[0][:4] == [(chunk, lo, lo + 49, 10**5) for lo in (1, 51, 101, 151)]
     assert len(pool_tasks[0]) == 10
 
     # with no checks the sweep is cut as sweep_convergence cuts it
     assert suite_dicts(run_suite(("sweep",), 200, workers=3)) == ([], serial[1])
-    assert pool_tasks[1] == [("sweep", (1, 67, 10**5)), ("sweep", (68, 134, 10**5)),
-                             ("sweep", (135, 200, 10**5))]
+    assert pool_tasks[1] == [(chunk, 1, 67, 10**5), (chunk, 68, 134, 10**5),
+                             (chunk, 135, 200, 10**5)]
+
+
+def test_a_failed_task_cancels_the_tasks_not_started(pool_sizes, monkeypatch):
+    # results are read in task order; the first that raises cancels every
+    # task still waiting for a process, and the error reaches the caller
+    submitted = []
+
+    class PendingPool(verify.ProcessPoolExecutor):
+        def submit(self, fn, *args):
+            submitted.append(Future())
+            if fn is check_partition:
+                submitted[-1].set_exception(MemoryError())
+            return submitted[-1]
+
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", PendingPool)
+    with pytest.raises(MemoryError):
+        verify._run_tasks([(check_partition, 10), (check_coverage, 10),
+                           (check_closed_forms, 3)], workers=2)
+    assert [future.cancelled() for future in submitted] == [False, True, True]
+    assert pool_sizes == [2]
+
+
+def test_suite_rejects_a_bad_check_before_any_pool_starts(pool_sizes):
+    # an unknown ID beside the sweep, and a bound below 1, at 2 workers
+    with pytest.raises(ValueError, match="T9.99"):
+        run_suite(["T9.99", "sweep"], 200, workers=2)
+    with pytest.raises(ValueError, match="L2.1"):
+        run_suite(["L2.1"], 0, workers=2)
+    assert pool_sizes == []
 
 
 def test_sweep_rejects_bad_range():
@@ -1001,9 +1082,10 @@ def test_a_fresh_import_frees_the_copy_before_it():
 def test_run_check_dispatch():
     assert run_check("L2.1", 100).id == "L2.1"
     assert run_check("T2.9", 1001).passed
+    for check_id in ("T9.99", "sweep"):  # "sweep" is a suite ID, not a check
+        with pytest.raises(ValueError):
+            run_check(check_id)
     with pytest.raises(ValueError):
-        run_check("T9.99")
-    with pytest.raises(ValueError):  # run_suite orders the checks first
         run_suite(["T9.99"])
 
 
@@ -1018,7 +1100,7 @@ def test_cell_path_checks_at_default_bounds_equal_the_golden_suite(check_id):
 
 
 @pytest.mark.parametrize("bound", [0, -5])
-@pytest.mark.parametrize("check_id", [cid for cid, (run, _) in verify.CHECKS.items() if run])
+@pytest.mark.parametrize("check_id", list(verify.CHECKS))
 def test_run_check_rejects_bound_below_1(check_id, bound):
     with pytest.raises(ValueError, match=re.escape(check_id) + ".*" + str(bound)):
         run_check(check_id, bound)
