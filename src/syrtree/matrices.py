@@ -19,6 +19,7 @@ build their own valid cells or odd terms call the cores directly. The core
 ``Coord``.
 """
 
+import itertools
 from typing import Iterator, NamedTuple, Optional, Tuple
 
 from .arith import LOW, LOW_01, _require_odd
@@ -54,11 +55,8 @@ def _entry(a: int, p: int, q: int) -> int:
 
 def row(a: int, p: int) -> Iterator[int]:
     """Entries of row p, q = 0, 1, 2, ..., by running addition (endless)."""
-    e = entry(a, p, 0)
     step = (1 << (2 * p + 2)) * (2 if a == 1 else 1)  # entry delta per column
-    while True:
-        yield e
-        e += step
+    return itertools.count(entry(a, p, 0), step)
 
 
 def locate(n: int) -> Coord:

@@ -497,7 +497,12 @@ def _sweep_chunk(lo: int, hi: int, budget: int) -> SweepReport:
     order. Only walked seeds can beat the excursion record, in ascending
     order, so a strict > keeps the smaller seed on a tie (a test with
     MEMO_MAX = 1 pins it). Outcomes are identical to walking every seed on
-    its own, and a walk stops once it has spent its budget.
+    its own, and a walk stops once it has spent its budget. Settling is only
+    a shortcut: a class that could settle but is walked (as one whose
+    largest total equals the budget would be under a strict <) gets the
+    same decided seeds, steps and exact slot values, and each walk stops by
+    its landing slot with values at most ua*a + ub <= R, so it cannot beat
+    the record.
     """
     t0 = time.perf_counter()
     cap = min(hi, MEMO_MAX)
@@ -644,10 +649,10 @@ def _run_tasks(tasks: List[tuple], workers: int) -> list:
     rebinds: a CHECKS function or _sweep_chunk, not run_check, which a
     tracer may wrap. Tasks are submitted in order to _pool_size(workers,
     len(tasks)) processes, each taking the next as it comes free, or run
-    inline when that is 1; once one fails, those not started are cancelled.
-    The workers start with SIGINT blocked and keep it so: a Ctrl-C
-    interrupts the parent alone, which ends them at once and re-raises.
-    (Windows has no signal mask, so there the workers take a SIGINT too.)"""
+    inline when that is 1; a failure or a Ctrl-C terminates the workers at
+    once and re-raises. The workers start with SIGINT blocked and keep it
+    so: a Ctrl-C interrupts the parent alone. (Windows has no signal mask,
+    so there the workers take a SIGINT too.)"""
     size = _pool_size(workers, len(tasks))
     if size <= 1:
         return [function(*args) for function, *args in tasks]
@@ -660,12 +665,8 @@ def _run_tasks(tasks: List[tuple], workers: int) -> list:
             finally:  # a SIGINT held meanwhile raises here
                 if mask:
                     mask(signal.SIG_SETMASK, held)
-            try:
-                return [future.result() for future in futures]
-            finally:
-                for future in futures:
-                    future.cancel()
-        except KeyboardInterrupt:
+            return [future.result() for future in futures]
+        except BaseException:
             # what ProcessPoolExecutor.terminate_workers does from Python 3.14;
             # leaving the pool then fails the tasks not done, without waiting
             for proc in list(pool._processes.values()):

@@ -618,15 +618,29 @@ def test_lost_worker_is_a_one_line_usage_error(capsys, monkeypatch):
     assert "--bound" in err and "--workers" in err
 
 
-def _group_size(group: int) -> int:
-    """The number of processes in a process group, read from /proc/<pid>/stat."""
-    size = 0
+def _group(group: int) -> list:
+    """Each process of a process group as (pid, state), read from /proc/<pid>/stat."""
+    procs = []
     for pid in filter(str.isdigit, os.listdir("/proc")):
         with contextlib.suppress(OSError):  # the process ended meanwhile
             stat = Path(f"/proc/{pid}/stat").read_text()
             # the fields after the parenthesized command: state, ppid, pgrp
-            size += int(stat.rsplit(")", 1)[1].split()[2]) == group
-    return size
+            state, _ppid, pgrp = stat.rsplit(")", 1)[1].split()[:3]
+            if int(pgrp) == group:
+                procs.append((pid, state))
+    return procs
+
+
+def _describe_group(group: int) -> str:
+    """One line per process of a group: pid, state, wchan and command line."""
+    lines = []
+    for pid, state in _group(group):
+        wchan = cmdline = "?"
+        with contextlib.suppress(OSError):
+            wchan = Path(f"/proc/{pid}/wchan").read_text()
+            cmdline = Path(f"/proc/{pid}/cmdline").read_text(errors="replace").replace("\0", " ")
+        lines.append(f"{pid} {state} {wchan} {cmdline}")
+    return "\n".join(lines)
 
 
 # runs the CLI under the start method that Linux defaults to from Python 3.14
@@ -655,11 +669,15 @@ def test_ctrl_c_is_one_line_and_exit_130(start, method):
     size = 3 + (method != "fork") + (method == "forkserver")
     try:
         deadline = time.monotonic() + 60
-        while proc.poll() is None and _group_size(group) < size:
+        while proc.poll() is None and len(_group(group)) < size:
             assert time.monotonic() < deadline, "the pool never started"
             time.sleep(0.01)
         os.killpg(group, signal.SIGINT)
-        out, err = proc.communicate(timeout=30)
+        try:
+            out, err = proc.communicate(timeout=30)
+        except subprocess.TimeoutExpired:
+            pytest.fail("no exit 30 s after SIGINT; pid, state, wchan, command line:\n"
+                        + _describe_group(group))
         assert proc.returncode == 130
         assert out == ""
         assert err == "verify: interrupted\n"

@@ -2,8 +2,11 @@ import gc
 import importlib
 import itertools
 import json
+import multiprocessing
+import os
 import re
 import sys
+import time
 import tracemalloc
 import weakref
 from concurrent.futures import Future
@@ -769,6 +772,23 @@ def test_a_corrupted_glide_entry_changes_the_sweep(b, monkeypatch):
     assert sweep_outcome(1, 2**15, 10**5) != clean
 
 
+@pytest.mark.parametrize("b, extra, best", [(5, 1, (238, 3711)), (177, 1, (238, 3711)),
+                                            (169, 30, (246, 2919))])
+def test_a_settled_odd_class_fills_its_seeds_slots(b, extra, best, monkeypatch):
+    # the sweep from 1 settles odd class b from the memo and writes its
+    # seeds' steps, off the table, into their own slots. Later walks that
+    # reach such a slot read its steps: seed 3711, of class 127, takes 237
+    # steps, and one more under class 5's or 177's raised steps. A sweep that
+    # left those slots empty would walk past them and report the clean record
+    jump, glides = verify._terras_table()
+    table = list(glides)
+    A, B, steps, ua, ub = table[b]
+    table[b] = (A, B, steps + extra, ua, ub)
+    assert sweep_outcome(1, 4096, 10**5)[2] == (237, 3711)
+    monkeypatch.setattr(verify, "_terras_table", lambda: (jump, tuple(table)))
+    assert sweep_outcome(1, 4096, 10**5)[2] == best
+
+
 @pytest.mark.parametrize("b", [1, 3, 255])
 def test_a_corrupted_jump_entry_changes_the_sweep(b, monkeypatch):
     # above the memo window the sweep jumps JUMP_K Terras steps at once,
@@ -1001,24 +1021,45 @@ def test_suite_cuts_the_sweep_into_the_processes_checks_leave_idle(pool_tasks, m
                              (chunk, 135, 200, 10**5)]
 
 
-def test_a_failed_task_cancels_the_tasks_not_started(pool_sizes, monkeypatch):
-    # results are read in task order; the first that raises cancels every
-    # task still waiting for a process, and the error reaches the caller
-    submitted = []
+def test_a_failed_task_terminates_the_workers(pool_sizes, monkeypatch):
+    # results are read in task order; the first that raises terminates every
+    # worker of the pool, and the error reaches the caller
+    terminated = []
+
+    class Worker:
+        def terminate(self):
+            terminated.append(self)
+
+    workers = [Worker(), Worker()]
 
     class PendingPool(verify.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            super().__init__(max_workers)
+            self._processes = dict(enumerate(workers))
+
         def submit(self, fn, *args):
-            submitted.append(Future())
+            future = Future()
             if fn is check_partition:
-                submitted[-1].set_exception(MemoryError())
-            return submitted[-1]
+                future.set_exception(MemoryError())
+            return future
 
     monkeypatch.setattr(verify, "ProcessPoolExecutor", PendingPool)
     with pytest.raises(MemoryError):
         verify._run_tasks([(check_partition, 10), (check_coverage, 10),
                            (check_closed_forms, 3)], workers=2)
-    assert [future.cancelled() for future in submitted] == [False, True, True]
+    assert terminated == workers
     assert pool_sizes == [2]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs a pool of two workers")
+def test_a_failed_task_does_not_wait_for_the_running_ones():
+    # int("x") fails at once while the other worker sleeps for a minute
+    start = time.monotonic()
+    with pytest.raises(ValueError):
+        verify._run_tasks([(int, "x"), (time.sleep, 60)], 2)
+    assert time.monotonic() - start < 10
+    assert multiprocessing.active_children() == []
 
 
 def test_suite_rejects_a_bad_check_before_any_pool_starts(pool_sizes):
