@@ -25,6 +25,7 @@ import itertools
 import os
 import signal
 import time
+from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from typing import Collection, Dict, List, Optional, Tuple
@@ -38,9 +39,9 @@ from .sequences import col_seq, walk
 
 MAX_COUNTEREXAMPLES = 10
 
-# the sweep memoizes odd values up to this bound only (one 8-byte list slot
-# per odd value, 16 MiB of slots), so its memory does not grow with the
-# range's top
+# the sweep memoizes odd values up to this bound only (one 2-byte array slot
+# per odd value, 4 MiB of slots), so its memory does not grow with the
+# range's top; no odd value up to it takes over 596 plain steps to 1
 MEMO_MAX = 1 << 22
 
 # above its memo window the sweep takes this many Terras steps at once
@@ -466,7 +467,16 @@ def _terras_table() -> tuple:
     return tuple(zip(*jump)), tuple(glides)
 
 
-def _sweep_chunk(lo: int, hi: int, budget: int) -> SweepReport:
+def _memo(cap: int) -> array:
+    """A sweep memo of the odd values up to cap, slot v >> 1 for odd v:
+    -1 (not known yet) but for 1, which is 0 steps from itself."""
+    memo = array("h", [-1]) * ((cap >> 1) + 1)
+    memo[0] = 0
+    return memo
+
+
+def _sweep_chunk(lo: int, hi: int, budget: int, memo: Optional[array] = None,
+                 record: int = 0) -> SweepReport:
     """The report of the seeds in [lo, hi], in blocks aligned to 2^JUMP_K:
     whole residue classes settled from the memo, the other seeds walked.
 
@@ -475,14 +485,18 @@ def _sweep_chunk(lo: int, hi: int, budget: int) -> SweepReport:
     some 3m+1. Odd values up to cap = min(hi, MEMO_MAX) have memo slots
     that hold their exact plain steps to 1 once known (-1 before), and no
     filled slot's trajectory maximum exceeds the shard's max-excursion
-    record. A walk fills the slots of its path only when its seed is
-    decided: that seed's maximum bounds the path and is counted into the
-    record at once. (A walk over budget may pass values above the record,
-    so it fills nothing.) So a walk stops at a filled slot, and a seed
-    beats the record exactly when its own walk up to that slot does. Above
-    max(cap, 2^(JUMP_K+1)) a walk takes JUMP_K Terras steps at once through
-    the jump of _terras_table, unless the block's bound on its values
-    exceeds the record.
+    record. The slots are the 16-bit ints of an array('h'): no odd value
+    up to MEMO_MAX = 2^22 takes more than 596 plain steps to 1 (seed
+    3732423, as _sweep_chunk(1, 2^22, 10^5) measures), and a store outside
+    the type's range raises OverflowError rather than wrap, so a wrong
+    kernel fails loudly. A walk fills the slots of its path only when its
+    seed is decided: that seed's maximum bounds the path and is counted
+    into the record at once. (A walk over budget may pass values above the
+    record, so it fills nothing.) So a walk stops at a filled slot, and a
+    seed beats the record exactly when its own walk up to that slot does.
+    Above max(cap, 2^(JUMP_K+1)) a walk takes JUMP_K Terras steps at once
+    through the jump of _terras_table, unless the block's bound on its
+    values exceeds the record.
 
     A block [L, H] of about L/8 seeds inside the memo window first settles
     each class b that has a glide in bulk, against the record R held before
@@ -503,17 +517,23 @@ def _sweep_chunk(lo: int, hi: int, budget: int) -> SweepReport:
     same decided seeds, steps and exact slot values, and each walk stops by
     its landing slot with values at most ua*a + ub <= R, so it cannot beat
     the record.
+
+    A shard of phase two (_sweep_merge) starts from memo, the memo phase
+    one left over [1, MEMO_MAX], which it fills further in place, and from
+    record, phase one's max-excursion value R. Every slot phase one filled
+    has a trajectory maximum of at most R, so the invariant holds with R
+    in place of 0, and slots left at -1 are walked past as before. R is
+    held by a phase-one seed, below every seed here, so this shard's own
+    max_excursion is a seed that beats R, or None, and the first maximum
+    over the shards in order is the one-task report.
     """
     t0 = time.perf_counter()
     cap = min(hi, MEMO_MAX)
-    # slot v >> 1 is odd v; -1 means not known yet
-    steps_c = [-1] * ((cap >> 1) + 1)
-    steps_c[0] = 0
+    steps_c = _memo(cap) if memo is None else memo
     (p3, jsteps, jd, ua, ub), glides = _terras_table()
     jump_above = max(cap, 2 << JUMP_K)
     size = 1 << JUMP_K
     mask = size - 1
-    record = 0  # best_exc's value, 0 until a seed is decided
     decided = 0
     best_s, best_seed = -1, 0  # the stopping-time record, none yet
     best_exc: Optional[Tuple[int, int]] = None
@@ -540,7 +560,8 @@ def _sweep_chunk(lo: int, hi: int, budget: int) -> SweepReport:
                     k = max(vals)
                     if -1 not in vals and k + steps <= budget:
                         if b & 1:
-                            steps_c[(L + b) >> 1:(H >> 1) + 1:size >> 1] = map(steps.__add__, vals)
+                            steps_c[(L + b) >> 1:(H >> 1) + 1:size >> 1] = array(
+                                "h", map(steps.__add__, vals))
                         decided += len(vals)
                         found.append((k + steps, -(L + b + (vals.index(k) << JUMP_K))))
                         continue
@@ -607,18 +628,47 @@ def _pool_size(workers: int, tasks: int) -> int:
 
 
 def _sweep_shards(lo: int, hi: int, budget: int, workers: int) -> List[tuple]:
-    """The sweep of [lo, hi] as _run_tasks tasks (_sweep_chunk, lo', hi',
-    budget): contiguous shards in ascending order, cut every ceil((hi-lo+1)
-    / _pool_size(workers, hi-lo+1)) seeds from lo but only above MEMO_MAX,
-    as a shard in the memo window would walk every seed from an empty memo."""
+    """The first _run_tasks call of the sweep of [lo, hi], as tasks
+    (_sweep_chunk, lo', hi', budget): contiguous shards in ascending order,
+    cut every ceil((hi-lo+1) / P) seeds from lo, P = _pool_size(workers,
+    hi-lo+1), but only above MEMO_MAX, as a shard that started inside the
+    memo window would walk its seeds from an empty memo. When lo <=
+    MEMO_MAX < hi and P >= 2, it is phase one alone, (_sweep_window, lo,
+    budget), and _sweep_merge runs the rest from its memo."""
     if lo < 1 or hi < lo:
         raise ValueError("need 1 <= lo <= hi")
     if budget < 0 or workers < 0:
         raise ValueError("budget and workers must be >= 0")
     n_chunks = _pool_size(workers, hi - lo + 1)
+    if n_chunks > 1 and lo <= MEMO_MAX < hi:
+        return [(_sweep_window, lo, budget)]
     size = (hi - lo + 1 + n_chunks - 1) // n_chunks
     starts = [lo] + [a for a in range(lo + size, hi + 1, size) if a > MEMO_MAX]
     return [(_sweep_chunk, a, b - 1, budget) for a, b in zip(starts, starts[1:] + [hi + 1])]
+
+
+# the return annotation is a string for the reason run_suite gives
+def _sweep_window(lo: int, budget: int) -> "Tuple[SweepReport, array]":
+    """Phase one of a sweep from lo <= MEMO_MAX: the report of [lo,
+    MEMO_MAX] and the memo that shard filled."""
+    memo = _memo(MEMO_MAX)
+    return _sweep_chunk(lo, MEMO_MAX, budget, memo), memo
+
+
+def _sweep_merge(results: list, hi: int, budget: int, workers: int) -> SweepReport:
+    """The report of a sweep to hi from the results of its _sweep_shards
+    tasks. After phase one, whose one result is its report and its memo,
+    this runs phase two on a second _run_tasks call: the shards
+    _sweep_shards cuts of [MEMO_MAX + 1, hi] for workers processes, each
+    with the memo and phase one's max-excursion value (0 without one) as
+    task arguments, so a pool pickles each shard a copy under any start
+    method (_sweep_chunk)."""
+    if isinstance(results[0], tuple):
+        first, memo = results[0]
+        record = first.max_excursion[0] if first.max_excursion else 0
+        shards = _sweep_shards(MEMO_MAX + 1, hi, budget, workers)
+        results = [first] + _run_tasks([shard + (memo, record) for shard in shards], workers)
+    return _sweep_report(results)
 
 
 # shards is annotated as a string for the reason run_suite gives
@@ -646,13 +696,13 @@ def _sweep_report(shards: "List[SweepReport]") -> SweepReport:
 def _run_tasks(tasks: List[tuple], workers: int) -> list:
     """Results of tasks (function, *args), in task order: each is
     function(*args). A pool sends function by name, so it is one nothing
-    rebinds: a CHECKS function or _sweep_chunk, not run_check, which a
-    tracer may wrap. Tasks are submitted in order to _pool_size(workers,
-    len(tasks)) processes, each taking the next as it comes free, or run
-    inline when that is 1; a failure or a Ctrl-C terminates the workers at
-    once and re-raises. The workers start with SIGINT blocked and keep it
-    so: a Ctrl-C interrupts the parent alone. (Windows has no signal mask,
-    so there the workers take a SIGINT too.)"""
+    rebinds: a CHECKS function, _sweep_chunk or _sweep_window, not
+    run_check, which a tracer may wrap. Tasks are submitted in order to
+    _pool_size(workers, len(tasks)) processes, each taking the next as it
+    comes free, or run inline when that is 1; a failure or a Ctrl-C
+    terminates the workers at once and re-raises. The workers start with
+    SIGINT blocked and keep it so: a Ctrl-C interrupts the parent alone.
+    (Windows has no signal mask, so there the workers take a SIGINT too.)"""
     size = _pool_size(workers, len(tasks))
     if size <= 1:
         return [function(*args) for function, *args in tasks]
@@ -686,11 +736,14 @@ def sweep_convergence(
     intrinsic. A shard keeps the smaller seed on a tie (_sweep_chunk) and
     shards ascend in task order, so keeping the first maximum over the
     shards does too: the report is identical for any worker count or shard
-    layout. At most min(workers, hi-lo+1, CPUs this process may run on)
-    shards run, one process each, cut only above MEMO_MAX (_sweep_shards).
+    layout. At most P = min(workers, hi-lo+1, CPUs this process may run
+    on) shards run at once, one process each, cut only above MEMO_MAX
+    (_sweep_shards). A range across MEMO_MAX on two or more processes runs
+    in two phases: [lo, MEMO_MAX] first, as one task, then the rest in up
+    to P shards that start from its memo (_sweep_merge).
     """
     shards = _sweep_shards(lo, hi, budget, workers)
-    return _sweep_report(_run_tasks(shards, workers))
+    return _sweep_merge(_run_tasks(shards, workers), hi, budget, workers)
 
 
 # the return annotation is a string: typing caches List[PropertyCheck],
@@ -705,30 +758,32 @@ def run_suite(
 
     An unknown ID or a bound below 1 raises ValueError before any task
     runs. Each of the C checks is one task. The sweep of [1, bound or
-    SWEEP_BOUND] is cut only into the processes the checks leave idle, at
-    most max(1, P - C) shards with P = _pool_size(workers, C + seeds), and
-    only above MEMO_MAX (_sweep_shards). With C = 0 this is
-    sweep_convergence's cut. Tasks go in as the shards, then the checks by
-    descending default bound, ties in report order: about longest first
-    (Graham's list rule). T2.9 takes a little longer than the sweep from 1,
-    which settles most seeds in bulk, but on two or more processes the two
-    start together. At most _pool_size(workers, tasks) processes run them.
-    Returns the checks in the order of ids and the merged sweep (None
-    without "sweep"): the same reports as run_check and sweep_convergence
-    give one by one. A check's elapsed is measured in the process that ran
-    it.
+    SWEEP_BOUND] is cut only into the processes the checks leave idle,
+    k = max(1, P - C) with P = _pool_size(workers, C + seeds), as
+    sweep_convergence cuts it for k workers (_sweep_shards): k shards cut
+    only above MEMO_MAX, or, past MEMO_MAX with k >= 2, phase one alone.
+    With C = 0 this is sweep_convergence's cut. Tasks go in as the shards,
+    then the checks by the descending bound each runs at, ties in report
+    order: about longest first (Graham's list rule). At default bounds
+    T2.9 takes a little longer than the sweep from 1, which settles most
+    seeds in bulk, but on two or more processes the two start together.
+    At most _pool_size(workers, tasks) processes run them. Phase two, if
+    any, runs in k shards after that (_sweep_merge). Returns the checks in
+    the order of ids and the merged sweep (None without "sweep"): the same
+    reports as run_check and sweep_convergence give one by one. A check's
+    elapsed is measured in the process that ran it.
     """
     checks = [cid for cid in ids if cid != "sweep"]
     tasks = [_check_task(cid, bound) for cid in checks]
     shards = []
     if "sweep" in ids:
         hi = bound if bound is not None else SWEEP_BOUND
-        idle = _pool_size(workers, len(checks) + hi) - len(checks)
-        shards = _sweep_shards(1, hi, budget, max(1, idle))
-    order = sorted(range(len(checks)), key=lambda i: -CHECKS[checks[i]][1])
+        idle = max(1, _pool_size(workers, len(checks) + hi) - len(checks))
+        shards = _sweep_shards(1, hi, budget, idle)
+    order = sorted(range(len(checks)), key=lambda i: -tasks[i][1])
     results = _run_tasks(shards + [tasks[i] for i in order], workers)
     done = dict(zip(order, results[len(shards):]))
-    sweep = _sweep_report(results[:len(shards)]) if shards else None
+    sweep = _sweep_merge(results[:len(shards)], hi, budget, idle) if shards else None
     return [done[i] for i in range(len(checks))], sweep
 
 

@@ -4,11 +4,13 @@ import itertools
 import json
 import multiprocessing
 import os
+import pickle
 import re
 import sys
 import time
 import tracemalloc
 import weakref
+from array import array
 from concurrent.futures import Future
 from pathlib import Path
 
@@ -861,23 +863,24 @@ def test_sweep_memo_does_not_grow_with_hi():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 100 * 2**20
+    assert peak < 6 * 2**20
 
 
 def test_sweep_memo_holds_odd_values_only():
-    # one 8-byte slot per odd value up to MEMO_MAX, in one list: 16 MiB
+    # one 2-byte slot per odd value up to MEMO_MAX, in one array('h'): 4 MiB
     tracemalloc.start()
     try:
         verify._sweep_chunk(2**24 + 1, 2**24 + 10, 1000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 24 * 2**20
+    assert peak < 6 * 2**20
 
 
 def test_sweep_worker_count_does_not_change_results(monkeypatch):
-    # a shard above the first starts with an empty memo, so its blocks walk;
-    # the range is cut only above MEMO_MAX, lowered here so that it is cut
+    # phase two's shards start from phase one's memo, pickled to each
+    # process; the range is cut only above MEMO_MAX, lowered here so that
+    # it is cut
     monkeypatch.setattr(verify, "MEMO_MAX", 2**10)
     base = sweep_convergence(1, 40000).as_dict()
     for workers in (2, 3):
@@ -888,7 +891,8 @@ def test_sweep_worker_count_does_not_change_results(monkeypatch):
 def pool_sizes(monkeypatch):
     """Sizes of the process pools started, with a stand-in pool that runs
     each task inline as it is submitted, so no process starts, on a host of
-    4 CPUs that this process may all run on."""
+    4 CPUs that this process may all run on. Like a pool, it hands each
+    task a pickled copy of its arguments."""
     sizes = []
 
     class InlinePool:
@@ -903,7 +907,7 @@ def pool_sizes(monkeypatch):
 
         def submit(self, fn, *args):
             future = Future()
-            future.set_result(fn(*args))
+            future.set_result(fn(*pickle.loads(pickle.dumps(args))))
             return future
 
     monkeypatch.setattr(verify, "ProcessPoolExecutor", InlinePool)
@@ -912,14 +916,65 @@ def pool_sizes(monkeypatch):
     return sizes
 
 
+@pytest.mark.parametrize("lo", [1, 3, 500])
+def test_phased_sweep_equals_one_task(lo, pool_sizes, monkeypatch):
+    # phase one [lo, MEMO_MAX] runs inline, and phase two's shards start
+    # from a pickled copy of its memo and from its excursion record; below
+    # budget 50 some seed of the window is undecided, so phase one leaves
+    # slots at -1 that phase two walks past
+    monkeypatch.setattr(verify, "MEMO_MAX", 2**10)
+    assert -1 in verify._sweep_window(1, 50)[1][:2**9]
+    for hi in (2**10 + 1, 1500, 2**11 + 3, 2**12):
+        for budget in (0, 1, 14, 50, 10**5):
+            one = verify._sweep_chunk(lo, hi, budget).as_dict()
+            for workers in (2, 3):
+                assert sweep_convergence(lo, hi, budget, workers).as_dict() == one, (
+                    hi, budget, workers)
+    # at hi = MEMO_MAX + 1 phase two is one seed, run inline too
+    assert pool_sizes == [2, 3] * 15
+
+
+def test_a_corrupted_phase_one_slot_changes_the_sweep(pool_sizes, monkeypatch):
+    # seed 1742 of phase two is 2 * 871, so it reads the slot of 871, the
+    # window's slowest seed at 178 steps, and takes 179 steps, the budget.
+    # One step more in that slot leaves it undecided; every other seed that
+    # reads the slot takes more steps, over the budget either way
+    monkeypatch.setattr(verify, "MEMO_MAX", 2**10)
+    clean = sweep_convergence(1, 2**12, 179, workers=2)
+    assert clean.as_dict() == verify._sweep_chunk(1, 2**12, 179).as_dict()
+    assert verify._sweep_chunk(871, 871, 10**5).max_stopping_time == (178, 871)
+    window = verify._sweep_window
+
+    def corrupted(lo, budget):
+        report, memo = window(lo, budget)
+        memo[871 >> 1] += 1
+        return report, memo
+
+    monkeypatch.setattr(verify, "_sweep_window", corrupted)
+    r = sweep_convergence(1, 2**12, 179, workers=2)
+    assert (r.decided, r.undecided) == (clean.decided - 1, clean.undecided + 1)
+    assert pool_sizes == [2, 2]
+
+
+def test_phase_one_fills_every_odd_slot_of_the_window(monkeypatch):
+    # slot v >> 1 for odd v <= MEMO_MAX, and one past it, which no value uses
+    monkeypatch.setattr(verify, "MEMO_MAX", 2**10)
+    report, memo = verify._sweep_window(1, 10**5)
+    assert report.as_dict() == verify._sweep_chunk(1, 2**10, 10**5).as_dict()
+    assert len(memo) == 2**9 + 1
+    assert min(memo[:2**9]) >= 0 and memo[2**9] == -1
+    assert memo[27 >> 1] == 111 and memo[0] == 0
+
+
 def test_sweep_process_count_is_bounded(pool_sizes, monkeypatch):
-    # the range is cut only above MEMO_MAX
+    # the range is cut only above MEMO_MAX: phase one [1, 1] runs inline,
+    # then phase two's min(workers, seeds above 1, 4 CPUs) shards on a pool
     monkeypatch.setattr(verify, "MEMO_MAX", 1)
     base = sweep_convergence(1, 100).as_dict()
     assert sweep_convergence(1, 3, workers=500).as_dict() == sweep_convergence(1, 3).as_dict()
     assert sweep_convergence(1, 100, workers=500).as_dict() == base
     assert sweep_convergence(1, 100, workers=3).as_dict() == base
-    assert pool_sizes == [3, 4, 3]
+    assert pool_sizes == [2, 4, 3]
 
 
 def test_sweep_is_cut_only_above_the_memo_window(pool_sizes):
@@ -929,12 +984,14 @@ def test_sweep_is_cut_only_above_the_memo_window(pool_sizes):
     assert verify._sweep_shards(10**7 + 1, 11 * 10**6, 10**5, 2) == [
         (chunk, 10**7 + 1, 10**7 + 500_000, 10**5),
         (chunk, 10**7 + 500_001, 11 * 10**6, 10**5)]
-    # [1, 2*MEMO_MAX] every MEMO_MAX/2 seeds: of the cut points, MEMO_MAX/2 + 1
-    # is inside the window, MEMO_MAX + 1 and 3*MEMO_MAX/2 + 1 are above it
+    # [1, 2*MEMO_MAX] on 4 processes: phase one is the whole window, and
+    # phase two cuts the rest every MEMO_MAX/4 seeds, all above the window
     half = verify.MEMO_MAX // 2
-    assert verify._sweep_shards(1, 4 * half, 10**5, 4) == [
-        (chunk, 1, 2 * half, 10**5), (chunk, 2 * half + 1, 3 * half, 10**5),
-        (chunk, 3 * half + 1, 4 * half, 10**5)]
+    assert verify._sweep_shards(1, 4 * half, 10**5, 4) == [(verify._sweep_window, 1, 10**5)]
+    assert verify._sweep_shards(2 * half + 1, 4 * half, 10**5, 4) == [
+        (chunk, lo, lo + half // 2 - 1, 10**5) for lo in range(2 * half + 1, 4 * half, half // 2)]
+    # on one process it is one shard, whose memo stays warm from lo
+    assert verify._sweep_shards(1, 4 * half, 10**5, 1) == [(chunk, 1, 4 * half, 10**5)]
 
 
 def test_pool_size_honours_cpu_affinity(pool_sizes, monkeypatch):
@@ -996,29 +1053,50 @@ def pool_tasks(pool_sizes, monkeypatch):
     return tasks
 
 
-def test_suite_submits_the_warm_sweep_then_checks_longest_first(pool_tasks):
+def test_suite_submits_the_warm_sweep_then_checks_longest_first(pool_tasks, monkeypatch):
+    # checks go in by the bound each runs at, ties in report order: at one
+    # --bound every check ties, and at the default bounds T2.11 goes last
     serial = suite_dicts(run_suite(SUITE_IDS, 200))
     assert suite_dicts(run_suite(SUITE_IDS, 200, workers=2)) == serial
-    by_default_bound = ["T2.9", "L3.3", "T2.15", "L2.1", "T2.12", "T2.11"]
     assert pool_tasks == [[(verify._sweep_chunk, 1, 200, 10**5)]
-                          + [(verify.CHECKS[cid][0], 200) for cid in by_default_bound]]
+                          + [(verify.CHECKS[cid][0], 200) for cid in SUITE_IDS[:-1]]]
+
+    class Submitted(Exception):
+        pass
+
+    def submit_only(tasks, workers):  # the tasks at default bounds, not run
+        pool_tasks.append(tasks)
+        raise Submitted
+
+    monkeypatch.setattr(verify, "_run_tasks", submit_only)
+    with pytest.raises(Submitted):
+        run_suite(SUITE_IDS, workers=2)
+    by_default_bound = ["T2.9", "L3.3", "T2.15", "L2.1", "T2.12", "T2.11"]
+    assert pool_tasks[1] == [(verify._sweep_chunk, 1, verify.SWEEP_BOUND, 10**5)] + [
+        (verify.CHECKS[cid][0], verify.CHECKS[cid][1]) for cid in by_default_bound]
 
 
 def test_suite_cuts_the_sweep_into_the_processes_checks_leave_idle(pool_tasks, monkeypatch):
     serial = suite_dicts(run_suite(SUITE_IDS, 200))
-    # the sweep is cut only above MEMO_MAX
+    # the sweep is cut only above MEMO_MAX: phase one [1, 1] goes in with
+    # the checks, then phase two [2, 200] in the 10 - 6 processes they left
+    # idle, each shard with phase one's memo (slot 0 alone, value 1 at 0
+    # steps) and record (seed 1's excursion, 1)
     monkeypatch.setattr(verify, "MEMO_MAX", 1)
     monkeypatch.setattr(verify.os, "cpu_count", lambda: 10)
     monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: set(range(10)))
     assert suite_dicts(run_suite(SUITE_IDS, 200, workers=10)) == serial
-    chunk = verify._sweep_chunk
-    assert pool_tasks[0][:4] == [(chunk, lo, lo + 49, 10**5) for lo in (1, 51, 101, 151)]
-    assert len(pool_tasks[0]) == 10
+    chunk, memo = verify._sweep_chunk, array("h", [0])
+    assert pool_tasks[0][0] == (verify._sweep_window, 1, 10**5)
+    assert len(pool_tasks[0]) == 7
+    assert pool_tasks[1] == [(chunk, lo, min(lo + 49, 200), 10**5, memo, 1)
+                             for lo in (2, 52, 102, 152)]
 
-    # with no checks the sweep is cut as sweep_convergence cuts it
+    # with no checks the sweep is cut as sweep_convergence cuts it: phase
+    # one runs inline, and phase two goes to a pool of 3
     assert suite_dicts(run_suite(("sweep",), 200, workers=3)) == ([], serial[1])
-    assert pool_tasks[1] == [(chunk, 1, 67, 10**5), (chunk, 68, 134, 10**5),
-                             (chunk, 135, 200, 10**5)]
+    assert pool_tasks[2:] == [[(chunk, 2, 68, 10**5, memo, 1), (chunk, 69, 135, 10**5, memo, 1),
+                               (chunk, 136, 200, 10**5, memo, 1)]]
 
 
 def test_a_failed_task_terminates_the_workers(pool_sizes, monkeypatch):
