@@ -221,7 +221,8 @@ def _verify_options(args) -> Optional[str]:
     file or value, else None."""
     env = os.environ.get(ENV_WORKERS)
     try:
-        opts = {"bound": None, "budget": 10**5, "workers": _positive(env) if env else 1}
+        opts = {"bound": None, "budget": verify.SWEEP_BUDGET,
+                "workers": _positive(env) if env else 1}
         if args.config:
             opts.update(_read_config(args.config))
     except argparse.ArgumentTypeError as exc:  # only the environment's value raises this

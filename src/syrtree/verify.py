@@ -28,7 +28,7 @@ import time
 from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
-from typing import Collection, Dict, List, Optional, Tuple
+from typing import Collection, Dict, List, Optional, Sequence, Tuple
 
 from .arith import syr, syr_class
 from .matrices import child_column, iter_connections, row
@@ -46,6 +46,9 @@ MEMO_MAX = 1 << 22
 
 # above its memo window the sweep takes this many Terras steps at once
 JUMP_K = 8
+
+SWEEP_BOUND = 10**6  # the sweep's default top seed
+SWEEP_BUDGET = 10**5  # the sweep's default step budget per seed
 
 # S-value tuples (S1, S3, S5, S7) for t = 0..3, fixed reference rows
 TABLE_A_ANCHORS = {
@@ -518,7 +521,7 @@ def _sweep_chunk(lo: int, hi: int, budget: int, memo: Optional[array] = None,
     its landing slot with values at most ua*a + ub <= R, so it cannot beat
     the record.
 
-    A shard of phase two (_sweep_merge) starts from memo, the memo phase
+    A shard of phase two (_sweep) starts from memo, the memo phase
     one left over [1, MEMO_MAX], which it fills further in place, and from
     record, phase one's max-excursion value R. Every slot phase one filled
     has a trajectory maximum of at most R, so the invariant holds with R
@@ -627,48 +630,12 @@ def _pool_size(workers: int, tasks: int) -> int:
     return min(max(workers, 1), tasks, cpus)
 
 
-def _sweep_shards(lo: int, hi: int, budget: int, workers: int) -> List[tuple]:
-    """The first _run_tasks call of the sweep of [lo, hi], as tasks
-    (_sweep_chunk, lo', hi', budget): contiguous shards in ascending order,
-    cut every ceil((hi-lo+1) / P) seeds from lo, P = _pool_size(workers,
-    hi-lo+1), but only above MEMO_MAX, as a shard that started inside the
-    memo window would walk its seeds from an empty memo. When lo <=
-    MEMO_MAX < hi and P >= 2, it is phase one alone, (_sweep_window, lo,
-    budget), and _sweep_merge runs the rest from its memo."""
-    if lo < 1 or hi < lo:
-        raise ValueError("need 1 <= lo <= hi")
-    if budget < 0 or workers < 0:
-        raise ValueError("budget and workers must be >= 0")
-    n_chunks = _pool_size(workers, hi - lo + 1)
-    if n_chunks > 1 and lo <= MEMO_MAX < hi:
-        return [(_sweep_window, lo, budget)]
-    size = (hi - lo + 1 + n_chunks - 1) // n_chunks
-    starts = [lo] + [a for a in range(lo + size, hi + 1, size) if a > MEMO_MAX]
-    return [(_sweep_chunk, a, b - 1, budget) for a, b in zip(starts, starts[1:] + [hi + 1])]
-
-
 # the return annotation is a string for the reason run_suite gives
 def _sweep_window(lo: int, budget: int) -> "Tuple[SweepReport, array]":
     """Phase one of a sweep from lo <= MEMO_MAX: the report of [lo,
     MEMO_MAX] and the memo that shard filled."""
     memo = _memo(MEMO_MAX)
     return _sweep_chunk(lo, MEMO_MAX, budget, memo), memo
-
-
-def _sweep_merge(results: list, hi: int, budget: int, workers: int) -> SweepReport:
-    """The report of a sweep to hi from the results of its _sweep_shards
-    tasks. After phase one, whose one result is its report and its memo,
-    this runs phase two on a second _run_tasks call: the shards
-    _sweep_shards cuts of [MEMO_MAX + 1, hi] for workers processes, each
-    with the memo and phase one's max-excursion value (0 without one) as
-    task arguments, so a pool pickles each shard a copy under any start
-    method (_sweep_chunk)."""
-    if isinstance(results[0], tuple):
-        first, memo = results[0]
-        record = first.max_excursion[0] if first.max_excursion else 0
-        shards = _sweep_shards(MEMO_MAX + 1, hi, budget, workers)
-        results = [first] + _run_tasks([shard + (memo, record) for shard in shards], workers)
-    return _sweep_report(results)
 
 
 # shards is annotated as a string for the reason run_suite gives
@@ -696,13 +663,14 @@ def _sweep_report(shards: "List[SweepReport]") -> SweepReport:
 def _run_tasks(tasks: List[tuple], workers: int) -> list:
     """Results of tasks (function, *args), in task order: each is
     function(*args). A pool sends function by name, so it is one nothing
-    rebinds: a CHECKS function, _sweep_chunk or _sweep_window, not
-    run_check, which a tracer may wrap. Tasks are submitted in order to
-    _pool_size(workers, len(tasks)) processes, each taking the next as it
-    comes free, or run inline when that is 1; a failure or a Ctrl-C
-    terminates the workers at once and re-raises. The workers start with
-    SIGINT blocked and keep it so: a Ctrl-C interrupts the parent alone.
-    (Windows has no signal mask, so there the workers take a SIGINT too.)"""
+    rebinds: a CHECKS function or one of _sweep's, not run_check or
+    sweep_convergence, which a tracer may wrap. Tasks are submitted in
+    order to _pool_size(workers, len(tasks)) processes, each taking the
+    next as it comes free, or run inline when that is 1; a failure or a
+    Ctrl-C terminates the workers at once and re-raises. The workers start
+    with SIGINT blocked and keep it so: a Ctrl-C interrupts the parent
+    alone. (Windows has no signal mask, so there the workers take a SIGINT
+    too.)"""
     size = _pool_size(workers, len(tasks))
     if size <= 1:
         return [function(*args) for function, *args in tasks]
@@ -724,26 +692,58 @@ def _run_tasks(tasks: List[tuple], workers: int) -> list:
             raise
 
 
+# the return annotation is a string for the reason run_suite gives
+def _sweep(lo: int, hi: int, budget: int, workers: int,
+           others: Sequence[tuple] = ()) -> "Tuple[SweepReport, list]":
+    """The report of the sweep of [lo, hi], and the results of others, tasks
+    that run beside it in its first _run_tasks call.
+
+    The sweep runs in the k = max(1, P - len(others)) processes others leave
+    idle, P = _pool_size(workers, len(others) + hi-lo+1). It is cut only
+    above MEMO_MAX: a shard that started inside the memo window would walk
+    its seeds from an empty memo. With top = hi when k = 1, else min(hi,
+    MEMO_MAX), the first call holds [lo, top] as one task ahead of others
+    when lo <= top: phase one, (_sweep_window, lo, budget), which returns
+    its memo too, when top < hi, else (_sweep_chunk, lo, top, budget). A
+    second call cuts the rest, [max(lo, top + 1), hi], every ceil(seeds /
+    k) seeds into shards (_sweep_chunk, a, b, budget, memo, record), with
+    phase one's memo and max-excursion value (None and 0 without one), so
+    a pool pickles each shard a copy under any start method.
+    """
+    if lo < 1 or hi < lo:
+        raise ValueError("need 1 <= lo <= hi")
+    if budget < 0 or workers < 0:
+        raise ValueError("budget and workers must be >= 0")
+    k = max(1, _pool_size(workers, len(others) + hi - lo + 1) - len(others))
+    top = hi if k == 1 else min(hi, MEMO_MAX)
+    first = [] if lo > top else [
+        (_sweep_window, lo, budget) if top < hi else (_sweep_chunk, lo, top, budget)]
+    results = _run_tasks(first + list(others), workers)
+    reports, memo, record = results[:len(first)], None, 0
+    if first and top < hi:  # phase one's report and memo
+        reports[0], memo = reports[0]
+        record = reports[0].max_excursion[0] if reports[0].max_excursion else 0
+    a = max(lo, top + 1)
+    size = max(1, -(-(hi - a + 1) // k))  # no seeds past top: no shards, and no step 0
+    shards = [(_sweep_chunk, s, min(s + size - 1, hi), budget, memo, record)
+              for s in range(a, hi + 1, size)]
+    return _sweep_report(reports + _run_tasks(shards, k)), results[len(first):]
+
+
 def sweep_convergence(
     lo: int,
     hi: int,
-    budget: int = 10**5,
+    budget: int = SWEEP_BUDGET,
     workers: int = 1,
 ) -> SweepReport:
     """Run every seed in [lo, hi] to 1 (or to the budget) and aggregate.
 
-    Sharding is by contiguous sub-ranges and per-seed results are
+    Sharding is by contiguous sub-ranges (_sweep) and per-seed results are
     intrinsic. A shard keeps the smaller seed on a tie (_sweep_chunk) and
     shards ascend in task order, so keeping the first maximum over the
-    shards does too: the report is identical for any worker count or shard
-    layout. At most P = min(workers, hi-lo+1, CPUs this process may run
-    on) shards run at once, one process each, cut only above MEMO_MAX
-    (_sweep_shards). A range across MEMO_MAX on two or more processes runs
-    in two phases: [lo, MEMO_MAX] first, as one task, then the rest in up
-    to P shards that start from its memo (_sweep_merge).
+    shards does too: the report is identical for any worker count or cut.
     """
-    shards = _sweep_shards(lo, hi, budget, workers)
-    return _sweep_merge(_run_tasks(shards, workers), hi, budget, workers)
+    return _sweep(lo, hi, budget, workers)[0]
 
 
 # the return annotation is a string: typing caches List[PropertyCheck],
@@ -751,45 +751,37 @@ def sweep_convergence(
 def run_suite(
     ids: Collection[str],
     bound: Optional[int] = None,
-    budget: int = 10**5,
+    budget: int = SWEEP_BUDGET,
     workers: int = 1,
 ) -> "Tuple[List[PropertyCheck], Optional[SweepReport]]":
     """Run the checks and the sweep named in ids on one process pool.
 
     An unknown ID or a bound below 1 raises ValueError before any task
-    runs. Each of the C checks is one task. The sweep of [1, bound or
-    SWEEP_BOUND] is cut only into the processes the checks leave idle,
-    k = max(1, P - C) with P = _pool_size(workers, C + seeds), as
-    sweep_convergence cuts it for k workers (_sweep_shards): k shards cut
-    only above MEMO_MAX, or, past MEMO_MAX with k >= 2, phase one alone.
-    With C = 0 this is sweep_convergence's cut. Tasks go in as the shards,
-    then the checks by the descending bound each runs at, ties in report
-    order: about longest first (Graham's list rule). At default bounds
-    T2.9 takes a little longer than the sweep from 1, which settles most
-    seeds in bulk, but on two or more processes the two start together.
-    At most _pool_size(workers, tasks) processes run them. Phase two, if
-    any, runs in k shards after that (_sweep_merge). Returns the checks in
-    the order of ids and the merged sweep (None without "sweep"): the same
-    reports as run_check and sweep_convergence give one by one. A check's
-    elapsed is measured in the process that ran it.
+    runs. Each check is one task, and they go in by the descending bound
+    each runs at, ties in report order: about longest first (Graham's list
+    rule). The sweep of [1, bound or SWEEP_BOUND] goes in ahead of them, on
+    the processes they leave free (_sweep). At default bounds T2.9 takes a
+    little longer than the sweep from 1, which settles most seeds in bulk,
+    but on two or more processes the two start together. Returns the checks
+    in the order of ids and the merged sweep (None without "sweep"): the
+    same reports as run_check and sweep_convergence give one by one. A
+    check's elapsed is measured in the process that ran it.
     """
     checks = [cid for cid in ids if cid != "sweep"]
     tasks = [_check_task(cid, bound) for cid in checks]
-    shards = []
-    if "sweep" in ids:
-        hi = bound if bound is not None else SWEEP_BOUND
-        idle = max(1, _pool_size(workers, len(checks) + hi) - len(checks))
-        shards = _sweep_shards(1, hi, budget, idle)
     order = sorted(range(len(checks)), key=lambda i: -tasks[i][1])
-    results = _run_tasks(shards + [tasks[i] for i in order], workers)
-    done = dict(zip(order, results[len(shards):]))
-    sweep = _sweep_merge(results[:len(shards)], hi, budget, idle) if shards else None
+    others = [tasks[i] for i in order]
+    if "sweep" in ids:
+        sweep, results = _sweep(1, SWEEP_BOUND if bound is None else bound, budget, workers, others)
+    else:
+        sweep, results = None, _run_tasks(others, workers)
+    done = dict(zip(order, results))
     return [done[i] for i in range(len(checks))], sweep
 
 
 # check ID -> (check run at a bound, default bound), in report order. The
 # suite ID "sweep" is no check: the sweep also takes a budget and a worker
-# count, so run_suite cuts it into shards itself.
+# count, so _sweep cuts it into shards itself.
 CHECKS = {
     "L2.1": (check_partition, 10_000),
     "T2.9": (check_coverage, 10**6),
@@ -798,8 +790,6 @@ CHECKS = {
     "T2.15": (check_cycle_freedom, 10**5),
     "L3.3": (check_even_identity, 10**6),
 }
-
-SWEEP_BOUND = 10**6  # the sweep's default top seed
 
 SUITE_IDS = (*CHECKS, "sweep")
 

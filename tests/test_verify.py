@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import pickle
 import re
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -856,16 +857,6 @@ def test_sweep_report_keeps_the_earlier_shard_on_ties():
     assert (r.max_stopping_time, r.max_excursion) == ((7, 3), (16, 3))
 
 
-def test_sweep_memo_does_not_grow_with_hi():
-    tracemalloc.start()
-    try:
-        verify._sweep_chunk(2**24 + 1, 2**24 + 10, 1000)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 6 * 2**20
-
-
 def test_sweep_memo_holds_odd_values_only():
     # one 2-byte slot per odd value up to MEMO_MAX, in one array('h'): 4 MiB
     tracemalloc.start()
@@ -977,21 +968,39 @@ def test_sweep_process_count_is_bounded(pool_sizes, monkeypatch):
     assert pool_sizes == [2, 4, 3]
 
 
-def test_sweep_is_cut_only_above_the_memo_window(pool_sizes):
-    # a shard from inside the memo window, above lo, would walk every seed
-    chunk = verify._sweep_chunk
-    assert verify._sweep_shards(1, 10**6, 10**5, 4) == [(chunk, 1, 10**6, 10**5)]
-    assert verify._sweep_shards(10**7 + 1, 11 * 10**6, 10**5, 2) == [
-        (chunk, 10**7 + 1, 10**7 + 500_000, 10**5),
-        (chunk, 10**7 + 500_001, 11 * 10**6, 10**5)]
+def test_sweep_is_cut_only_above_the_memo_window(pool_sizes, monkeypatch):
+    # a shard from inside the memo window, above lo, would walk every seed.
+    # On pool_sizes' 4 CPUs, each _run_tasks call of _sweep is recorded, not
+    # run: every task gives one stand-in report, whose excursion record 7
+    # phase two receives
+    chunk, window = verify._sweep_chunk, verify._sweep_window
+    calls = []
+    stand_in = verify.SweepReport(1, 1, 10**5, 1, 0, (0, 1), (7, 3))
+    memo = array("h", [0])
+
+    def record_only(tasks, workers):
+        calls.append(tasks)
+        return [(stand_in, memo) if task[0] is window else stand_in for task in tasks]
+
+    monkeypatch.setattr(verify, "_run_tasks", record_only)
+
+    def layout(lo, hi, workers):
+        calls.clear()
+        verify._sweep(lo, hi, 10**5, workers)
+        return calls
+
+    assert layout(1, 10**6, 4) == [[(chunk, 1, 10**6, 10**5)], []]
+    assert layout(10**7 + 1, 11 * 10**6, 2) == [[], [
+        (chunk, 10**7 + 1, 10**7 + 500_000, 10**5, None, 0),
+        (chunk, 10**7 + 500_001, 11 * 10**6, 10**5, None, 0)]]
     # [1, 2*MEMO_MAX] on 4 processes: phase one is the whole window, and
     # phase two cuts the rest every MEMO_MAX/4 seeds, all above the window
     half = verify.MEMO_MAX // 2
-    assert verify._sweep_shards(1, 4 * half, 10**5, 4) == [(verify._sweep_window, 1, 10**5)]
-    assert verify._sweep_shards(2 * half + 1, 4 * half, 10**5, 4) == [
-        (chunk, lo, lo + half // 2 - 1, 10**5) for lo in range(2 * half + 1, 4 * half, half // 2)]
+    assert layout(1, 4 * half, 4) == [[(window, 1, 10**5)], [
+        (chunk, lo, lo + half // 2 - 1, 10**5, memo, 7)
+        for lo in range(2 * half + 1, 4 * half, half // 2)]]
     # on one process it is one shard, whose memo stays warm from lo
-    assert verify._sweep_shards(1, 4 * half, 10**5, 1) == [(chunk, 1, 4 * half, 10**5)]
+    assert layout(1, 4 * half, 1) == [[(chunk, 1, 4 * half, 10**5)], []]
 
 
 def test_pool_size_honours_cpu_affinity(pool_sizes, monkeypatch):
@@ -1154,6 +1163,49 @@ def test_sweep_rejects_bad_range():
         sweep_convergence(0, 10)
     with pytest.raises(ValueError):
         sweep_convergence(5, 4)
+
+
+def test_a_negative_budget_is_rejected_before_any_pool_starts(pool_sizes):
+    with pytest.raises(ValueError, match="budget"):
+        sweep_convergence(1, 10, -1, workers=2)
+    for ids in (["sweep"], ["L2.1", "sweep"]):
+        with pytest.raises(ValueError, match="budget"):
+            run_suite(ids, 200, budget=-1, workers=2)
+    assert pool_sizes == []
+
+
+# phase two under the spawn start method, which pickles every task's
+# arguments, phase one's memo among them, to a fresh interpreter
+SPAWN_SWEEP = """\
+import json, multiprocessing
+from syrtree import verify
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method("spawn")
+    r = verify.sweep_convergence(1, verify.MEMO_MAX + 4000, 10**5, workers=2)
+    print(json.dumps(r.as_dict()))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs a pool of two workers")
+def test_phase_two_runs_under_spawn(tmp_path):
+    # MEMO_MAX cannot be patched across spawn: phase one is the whole
+    # window, and phase two two shards of 2000 seeds. The report is
+    # _sweep_chunk(1, MEMO_MAX + 4000, 10**5)'s, one task
+    script = tmp_path / "spawn_sweep.py"
+    script.write_text(SPAWN_SWEEP, encoding="utf-8")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, str(script)], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "lo": 1, "hi": verify.MEMO_MAX + 4000, "budget": 10**5,
+        "decided": verify.MEMO_MAX + 4000, "undecided": 0,
+        "max_stopping_time": {"steps": 596, "seed": 3732423},
+        "max_excursion": {"value": 858555169576, "seed": 3873535}, "undecided_seeds": []}
 
 
 def test_report_dicts_have_no_timing():
