@@ -20,6 +20,9 @@ Suite IDs (stable, each addressable from the CLI; all but sweep are checks):
     sweep  convergence statistics over a seed range
 """
 
+# annotations stay strings: typing's cache of List[...] would keep old module copies alive
+from __future__ import annotations
+
 import functools
 import itertools
 import os
@@ -328,6 +331,8 @@ def check_cycle_freedom(bound: int = 10**5, max_steps: int = 10**5) -> PropertyC
         seeds += 1
         found, steps = _first_revisit(seed, max_steps, certified)
         if found is None:
+            # "seed < cap" is equivalent: only walks of seeds above cap (bound >
+            # MEMO_MAX) read the slot of seed == cap, and certifying changes no report
             if 1 < seed <= cap:
                 certified[seed >> 1] = steps
         elif not ce.add(seed=seed, **found, repro=f"syrtree seq {seed} --kind syr"):
@@ -344,18 +349,18 @@ def _first_revisit(seed: int, max_steps: int,
     cannot be certified. Columns are keyed by their connection point 6q+a,
     which no two columns share. The walk stops at the first next term whose
     slot in certified (odd v at v >> 1) holds its steps to 1, as
-    check_cycle_freedom argues.
+    check_cycle_freedom argues. Only the seed can repeat as a value first:
+    a repeat cur_i == cur_j, 1 <= j < i, has nxt_(i-1) == nxt_(j-1), which
+    the column check reported a step earlier.
     """
     cols: Dict[int, int] = {}  # connection point -> index of the term in that column
-    values = set()
     cur = seed
     for i, (c, nxt) in enumerate(walk(seed, max_steps + 1)):
         if nxt in cols:
             return {"column": (c[0], c[2]), "first_index": cols[nxt], "index": i}, -1
         cols[nxt] = i
-        if cur in values:
+        if i and cur == seed:
             return {"value": cur, "problem": "value repeats"}, -1
-        values.add(cur)
         if i >= max_steps:
             break
         slot = nxt >> 1
@@ -521,8 +526,8 @@ def _sweep_chunk(lo: int, hi: int, budget: int, memo: Optional[array] = None,
     its landing slot with values at most ua*a + ub <= R, so it cannot beat
     the record.
 
-    A shard of phase two (_sweep) starts from memo, the memo phase
-    one left over [1, MEMO_MAX], which it fills further in place, and from
+    A shard of phase two (_sweep) starts from memo, which phase one
+    filled over [lo, MEMO_MAX] and it fills further in place, and from
     record, phase one's max-excursion value R. Every slot phase one filled
     has a trajectory maximum of at most R, so the invariant holds with R
     in place of 0, and slots left at -1 are walked past as before. R is
@@ -630,16 +635,7 @@ def _pool_size(workers: int, tasks: int) -> int:
     return min(max(workers, 1), tasks, cpus)
 
 
-# the return annotation is a string for the reason run_suite gives
-def _sweep_window(lo: int, budget: int) -> "Tuple[SweepReport, array]":
-    """Phase one of a sweep from lo <= MEMO_MAX: the report of [lo,
-    MEMO_MAX] and the memo that shard filled."""
-    memo = _memo(MEMO_MAX)
-    return _sweep_chunk(lo, MEMO_MAX, budget, memo), memo
-
-
-# shards is annotated as a string for the reason run_suite gives
-def _sweep_report(shards: "List[SweepReport]") -> SweepReport:
+def _sweep_report(shards: List[SweepReport]) -> SweepReport:
     """Merge the reports of ascending, adjacent shards, in shard order, into
     the report of their union; its elapsed is the sum of the shards' times.
     The first maximum over the shards keeps the smaller seed on a tie."""
@@ -663,7 +659,7 @@ def _sweep_report(shards: "List[SweepReport]") -> SweepReport:
 def _run_tasks(tasks: List[tuple], workers: int) -> list:
     """Results of tasks (function, *args), in task order: each is
     function(*args). A pool sends function by name, so it is one nothing
-    rebinds: a CHECKS function or one of _sweep's, not run_check or
+    rebinds: a CHECKS function or _sweep_chunk, not run_check or
     sweep_convergence, which a tracer may wrap. Tasks are submitted in
     order to _pool_size(workers, len(tasks)) processes, each taking the
     next as it comes free, or run inline when that is 1; a failure or a
@@ -692,42 +688,39 @@ def _run_tasks(tasks: List[tuple], workers: int) -> list:
             raise
 
 
-# the return annotation is a string for the reason run_suite gives
 def _sweep(lo: int, hi: int, budget: int, workers: int,
-           others: Sequence[tuple] = ()) -> "Tuple[SweepReport, list]":
+           others: Sequence[tuple] = ()) -> Tuple[SweepReport, list]:
     """The report of the sweep of [lo, hi], and the results of others, tasks
-    that run beside it in its first _run_tasks call.
+    that follow the sweep's shards in its one _run_tasks call.
 
     The sweep runs in the k = max(1, P - len(others)) processes others leave
     idle, P = _pool_size(workers, len(others) + hi-lo+1). It is cut only
     above MEMO_MAX: a shard that started inside the memo window would walk
-    its seeds from an empty memo. With top = hi when k = 1, else min(hi,
-    MEMO_MAX), the first call holds [lo, top] as one task ahead of others
-    when lo <= top: phase one, (_sweep_window, lo, budget), which returns
-    its memo too, when top < hi, else (_sweep_chunk, lo, top, budget). A
-    second call cuts the rest, [max(lo, top + 1), hi], every ceil(seeds /
-    k) seeds into shards (_sweep_chunk, a, b, budget, memo, record), with
-    phase one's memo and max-excursion value (None and 0 without one), so
-    a pool pickles each shard a copy under any start method.
+    its seeds from an empty memo. So on k > 1 a range from inside the window
+    past it runs phase one, [lo, MEMO_MAX], here before any pool starts, on
+    a fresh memo it fills; else a range from inside the window is one shard.
+    The rest is cut every ceil(seeds / k) seeds into shards (_sweep_chunk,
+    a, b, budget, memo, record), with phase one's memo and max-excursion
+    value (None and 0 without one), which a pool pickles to each shard.
     """
     if lo < 1 or hi < lo:
         raise ValueError("need 1 <= lo <= hi")
     if budget < 0 or workers < 0:
         raise ValueError("budget and workers must be >= 0")
     k = max(1, _pool_size(workers, len(others) + hi - lo + 1) - len(others))
-    top = hi if k == 1 else min(hi, MEMO_MAX)
-    first = [] if lo > top else [
-        (_sweep_window, lo, budget) if top < hi else (_sweep_chunk, lo, top, budget)]
-    results = _run_tasks(first + list(others), workers)
-    reports, memo, record = results[:len(first)], None, 0
-    if first and top < hi:  # phase one's report and memo
-        reports[0], memo = reports[0]
+    reports, memo, record = [], None, 0
+    if k > 1 and lo <= MEMO_MAX < hi:  # phase one
+        memo = _memo(MEMO_MAX)
+        reports.append(_sweep_chunk(lo, MEMO_MAX, budget, memo))
         record = reports[0].max_excursion[0] if reports[0].max_excursion else 0
-    a = max(lo, top + 1)
-    size = max(1, -(-(hi - a + 1) // k))  # no seeds past top: no shards, and no step 0
+        lo = MEMO_MAX + 1
+    elif lo <= MEMO_MAX:
+        k = 1
+    size = -(-(hi - lo + 1) // k)
     shards = [(_sweep_chunk, s, min(s + size - 1, hi), budget, memo, record)
-              for s in range(a, hi + 1, size)]
-    return _sweep_report(reports + _run_tasks(shards, k)), results[len(first):]
+              for s in range(lo, hi + 1, size)]
+    results = _run_tasks(shards + list(others), workers)
+    return _sweep_report(reports + results[:len(shards)]), results[len(shards):]
 
 
 def sweep_convergence(
@@ -746,26 +739,24 @@ def sweep_convergence(
     return _sweep(lo, hi, budget, workers)[0]
 
 
-# the return annotation is a string: typing caches List[PropertyCheck],
-# which would keep alive every copy of this module a process imports afresh
 def run_suite(
     ids: Collection[str],
     bound: Optional[int] = None,
     budget: int = SWEEP_BUDGET,
     workers: int = 1,
-) -> "Tuple[List[PropertyCheck], Optional[SweepReport]]":
+) -> Tuple[List[PropertyCheck], Optional[SweepReport]]:
     """Run the checks and the sweep named in ids on one process pool.
 
     An unknown ID or a bound below 1 raises ValueError before any task
     runs. Each check is one task, and they go in by the descending bound
     each runs at, ties in report order: about longest first (Graham's list
     rule). The sweep of [1, bound or SWEEP_BOUND] goes in ahead of them, on
-    the processes they leave free (_sweep). At default bounds T2.9 takes a
-    little longer than the sweep from 1, which settles most seeds in bulk,
-    but on two or more processes the two start together. Returns the checks
-    in the order of ids and the merged sweep (None without "sweep"): the
-    same reports as run_check and sweep_convergence give one by one. A
-    check's elapsed is measured in the process that ran it.
+    the processes they leave free, once any phase one of it is done
+    (_sweep). At default bounds the sweep is one task, and on two or more
+    processes it starts beside T2.9, which takes a little longer. Returns
+    the checks in the order of ids and the merged sweep (None without
+    "sweep"): the same reports as run_check and sweep_convergence give one
+    by one. A check's elapsed is measured in the process that ran it.
     """
     checks = [cid for cid in ids if cid != "sweep"]
     tasks = [_check_task(cid, bound) for cid in checks]

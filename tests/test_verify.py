@@ -11,7 +11,6 @@ import sys
 import time
 import tracemalloc
 import weakref
-from array import array
 from concurrent.futures import Future
 from pathlib import Path
 
@@ -907,14 +906,21 @@ def pool_sizes(monkeypatch):
     return sizes
 
 
+def phase_one(lo, budget):
+    """Phase one of a sweep from lo, as _sweep runs it: its report, and the
+    fresh memo it fills."""
+    memo = verify._memo(verify.MEMO_MAX)
+    return verify._sweep_chunk(lo, verify.MEMO_MAX, budget, memo), memo
+
+
 @pytest.mark.parametrize("lo", [1, 3, 500])
 def test_phased_sweep_equals_one_task(lo, pool_sizes, monkeypatch):
-    # phase one [lo, MEMO_MAX] runs inline, and phase two's shards start
-    # from a pickled copy of its memo and from its excursion record; below
-    # budget 50 some seed of the window is undecided, so phase one leaves
-    # slots at -1 that phase two walks past
+    # phase one [lo, MEMO_MAX] runs before the pool starts, and phase two's
+    # shards start from a pickled copy of its memo and from its excursion
+    # record; below budget 50 some seed of the window is undecided, so
+    # phase one leaves slots at -1 that phase two walks past
     monkeypatch.setattr(verify, "MEMO_MAX", 2**10)
-    assert -1 in verify._sweep_window(1, 50)[1][:2**9]
+    assert -1 in phase_one(1, 50)[1][:2**9]
     for hi in (2**10 + 1, 1500, 2**11 + 3, 2**12):
         for budget in (0, 1, 14, 50, 10**5):
             one = verify._sweep_chunk(lo, hi, budget).as_dict()
@@ -934,14 +940,15 @@ def test_a_corrupted_phase_one_slot_changes_the_sweep(pool_sizes, monkeypatch):
     clean = sweep_convergence(1, 2**12, 179, workers=2)
     assert clean.as_dict() == verify._sweep_chunk(1, 2**12, 179).as_dict()
     assert verify._sweep_chunk(871, 871, 10**5).max_stopping_time == (178, 871)
-    window = verify._sweep_window
+    chunk = verify._sweep_chunk
 
-    def corrupted(lo, budget):
-        report, memo = window(lo, budget)
-        memo[871 >> 1] += 1
-        return report, memo
+    def corrupted(lo, hi, budget, memo=None, record=0):
+        report = chunk(lo, hi, budget, memo, record)
+        if hi == verify.MEMO_MAX:  # phase one, the one shard that ends there
+            memo[871 >> 1] += 1
+        return report
 
-    monkeypatch.setattr(verify, "_sweep_window", corrupted)
+    monkeypatch.setattr(verify, "_sweep_chunk", corrupted)
     r = sweep_convergence(1, 2**12, 179, workers=2)
     assert (r.decided, r.undecided) == (clean.decided - 1, clean.undecided + 1)
     assert pool_sizes == [2, 2]
@@ -950,7 +957,7 @@ def test_a_corrupted_phase_one_slot_changes_the_sweep(pool_sizes, monkeypatch):
 def test_phase_one_fills_every_odd_slot_of_the_window(monkeypatch):
     # slot v >> 1 for odd v <= MEMO_MAX, and one past it, which no value uses
     monkeypatch.setattr(verify, "MEMO_MAX", 2**10)
-    report, memo = verify._sweep_window(1, 10**5)
+    report, memo = phase_one(1, 10**5)
     assert report.as_dict() == verify._sweep_chunk(1, 2**10, 10**5).as_dict()
     assert len(memo) == 2**9 + 1
     assert min(memo[:2**9]) >= 0 and memo[2**9] == -1
@@ -970,17 +977,15 @@ def test_sweep_process_count_is_bounded(pool_sizes, monkeypatch):
 
 def test_sweep_is_cut_only_above_the_memo_window(pool_sizes, monkeypatch):
     # a shard from inside the memo window, above lo, would walk every seed.
-    # On pool_sizes' 4 CPUs, each _run_tasks call of _sweep is recorded, not
-    # run: every task gives one stand-in report, whose excursion record 7
-    # phase two receives
-    chunk, window = verify._sweep_chunk, verify._sweep_window
+    # On pool_sizes' 4 CPUs, the one _run_tasks call of each _sweep is
+    # recorded, not run: every task gives one stand-in report
+    chunk = verify._sweep_chunk
     calls = []
     stand_in = verify.SweepReport(1, 1, 10**5, 1, 0, (0, 1), (7, 3))
-    memo = array("h", [0])
 
     def record_only(tasks, workers):
         calls.append(tasks)
-        return [(stand_in, memo) if task[0] is window else stand_in for task in tasks]
+        return [stand_in] * len(tasks)
 
     monkeypatch.setattr(verify, "_run_tasks", record_only)
 
@@ -989,18 +994,21 @@ def test_sweep_is_cut_only_above_the_memo_window(pool_sizes, monkeypatch):
         verify._sweep(lo, hi, 10**5, workers)
         return calls
 
-    assert layout(1, 10**6, 4) == [[(chunk, 1, 10**6, 10**5)], []]
-    assert layout(10**7 + 1, 11 * 10**6, 2) == [[], [
+    assert layout(1, 10**6, 4) == [[(chunk, 1, 10**6, 10**5, None, 0)]]
+    assert layout(10**7 + 1, 11 * 10**6, 2) == [[
         (chunk, 10**7 + 1, 10**7 + 500_000, 10**5, None, 0),
         (chunk, 10**7 + 500_001, 11 * 10**6, 10**5, None, 0)]]
-    # [1, 2*MEMO_MAX] on 4 processes: phase one is the whole window, and
-    # phase two cuts the rest every MEMO_MAX/4 seeds, all above the window
-    half = verify.MEMO_MAX // 2
-    assert layout(1, 4 * half, 4) == [[(window, 1, 10**5)], [
-        (chunk, lo, lo + half // 2 - 1, 10**5, memo, 7)
-        for lo in range(2 * half + 1, 4 * half, half // 2)]]
+    # [1, 2*MEMO_MAX] on 4 processes: phase one is the whole window, run
+    # before the call, and the call cuts the rest every MEMO_MAX/4 seeds, all
+    # above the window, each shard with phase one's filled memo and record
+    monkeypatch.setattr(verify, "MEMO_MAX", 2**10)
+    report, memo = phase_one(1, 10**5)
+    assert min(memo[:2**9]) >= 0
+    record = report.max_excursion[0]
+    assert layout(1, 2**11, 4) == [[(chunk, lo, lo + 2**8 - 1, 10**5, memo, record)
+                                    for lo in range(2**10 + 1, 2**11, 2**8)]]
     # on one process it is one shard, whose memo stays warm from lo
-    assert layout(1, 4 * half, 1) == [[(chunk, 1, 4 * half, 10**5)], []]
+    assert layout(1, 2**11, 1) == [[(chunk, 1, 2**11, 10**5, None, 0)]]
 
 
 def test_pool_size_honours_cpu_affinity(pool_sizes, monkeypatch):
@@ -1067,7 +1075,7 @@ def test_suite_submits_the_warm_sweep_then_checks_longest_first(pool_tasks, monk
     # --bound every check ties, and at the default bounds T2.11 goes last
     serial = suite_dicts(run_suite(SUITE_IDS, 200))
     assert suite_dicts(run_suite(SUITE_IDS, 200, workers=2)) == serial
-    assert pool_tasks == [[(verify._sweep_chunk, 1, 200, 10**5)]
+    assert pool_tasks == [[(verify._sweep_chunk, 1, 200, 10**5, None, 0)]
                           + [(verify.CHECKS[cid][0], 200) for cid in SUITE_IDS[:-1]]]
 
     class Submitted(Exception):
@@ -1081,31 +1089,42 @@ def test_suite_submits_the_warm_sweep_then_checks_longest_first(pool_tasks, monk
     with pytest.raises(Submitted):
         run_suite(SUITE_IDS, workers=2)
     by_default_bound = ["T2.9", "L3.3", "T2.15", "L2.1", "T2.12", "T2.11"]
-    assert pool_tasks[1] == [(verify._sweep_chunk, 1, verify.SWEEP_BOUND, 10**5)] + [
+    assert pool_tasks[1] == [(verify._sweep_chunk, 1, verify.SWEEP_BOUND, 10**5, None, 0)] + [
         (verify.CHECKS[cid][0], verify.CHECKS[cid][1]) for cid in by_default_bound]
 
 
 def test_suite_cuts_the_sweep_into_the_processes_checks_leave_idle(pool_tasks, monkeypatch):
     serial = suite_dicts(run_suite(SUITE_IDS, 200))
-    # the sweep is cut only above MEMO_MAX: phase one [1, 1] goes in with
-    # the checks, then phase two [2, 200] in the 10 - 6 processes they left
-    # idle, each shard with phase one's memo (slot 0 alone, value 1 at 0
-    # steps) and record (seed 1's excursion, 1)
-    monkeypatch.setattr(verify, "MEMO_MAX", 1)
+    # the sweep is cut only above MEMO_MAX: phase one [1, 64] runs before
+    # the pool starts, then one pool of 10 takes phase two [65, 200], cut
+    # for the 10 - 6 processes the checks leave idle, and the checks. Each
+    # shard carries phase one's memo and record (27's excursion, 9232)
+    monkeypatch.setattr(verify, "MEMO_MAX", 64)
     monkeypatch.setattr(verify.os, "cpu_count", lambda: 10)
     monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: set(range(10)))
+    calls = []
+    run_tasks = verify._run_tasks
+
+    def counted(tasks, workers):
+        calls.append(len(tasks))
+        return run_tasks(tasks, workers)
+
+    monkeypatch.setattr(verify, "_run_tasks", counted)
     assert suite_dicts(run_suite(SUITE_IDS, 200, workers=10)) == serial
-    chunk, memo = verify._sweep_chunk, array("h", [0])
-    assert pool_tasks[0][0] == (verify._sweep_window, 1, 10**5)
-    assert len(pool_tasks[0]) == 7
-    assert pool_tasks[1] == [(chunk, lo, min(lo + 49, 200), 10**5, memo, 1)
-                             for lo in (2, 52, 102, 152)]
+    chunk, (report, memo) = verify._sweep_chunk, phase_one(1, 10**5)
+    assert report.max_excursion == (9232, 27) and min(memo[:32]) >= 0
+    assert calls == [10]
+    assert pool_tasks == [[(chunk, lo, min(lo + 33, 200), 10**5, memo, 9232)
+                           for lo in (65, 99, 133, 167)]
+                          + [(verify.CHECKS[cid][0], 200) for cid in SUITE_IDS[:-1]]]
 
     # with no checks the sweep is cut as sweep_convergence cuts it: phase
-    # one runs inline, and phase two goes to a pool of 3
+    # one runs first, and phase two goes to a pool of 3
     assert suite_dicts(run_suite(("sweep",), 200, workers=3)) == ([], serial[1])
-    assert pool_tasks[2:] == [[(chunk, 2, 68, 10**5, memo, 1), (chunk, 69, 135, 10**5, memo, 1),
-                               (chunk, 136, 200, 10**5, memo, 1)]]
+    assert calls == [10, 3]
+    assert pool_tasks[1:] == [[(chunk, 65, 110, 10**5, memo, 9232),
+                               (chunk, 111, 156, 10**5, memo, 9232),
+                               (chunk, 157, 200, 10**5, memo, 9232)]]
 
 
 def test_a_failed_task_terminates_the_workers(pool_sizes, monkeypatch):
